@@ -74,7 +74,6 @@ def base_config() -> ServiceConfig:
         blocks=BLOCKS,
         trees=TREES,
         chunk=CHUNK,
-        backend="fused",
     )
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from benchmarks.conftest import SCALE, merge_csv
-from repro.service.detector import detect_naive
+from repro.service._staged_reference import detect_naive, use_backend
 from repro.service.replay import fleet_recipes, prepare_fleet, replay
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,8 +38,9 @@ CSV_HEADERS = (
 )
 
 FLEET_SIZES = (2, 4, 8)
-#: Large fleets compare fused vs staged backends (the naive per-node
-#: loop would take minutes at this scale and proves nothing new).
+#: Large fleets compare the fused tick path with the staged reference
+#: (the naive per-node loop would take minutes at this scale and proves
+#: nothing new).
 LARGE_FLEET_SIZES = (64, 256)
 TREES = 20
 BLOCKS = 20
@@ -99,7 +100,7 @@ def test_batched_detection_beats_per_node_loop(nodes):
 
 @pytest.mark.parametrize("nodes", LARGE_FLEET_SIZES)
 def test_fused_backend_scales_to_large_fleets(nodes):
-    """64- and 256-node fleets: fused arena vs staged pipeline.
+    """64- and 256-node fleets: fused arena vs the staged reference.
 
     Runs at serving cadence with interleaved repetitions (machine drift
     hits both backends equally); exact-mode events must stay identical.
@@ -115,7 +116,8 @@ def test_fused_backend_scales_to_large_fleets(nodes):
     events: dict[str, list] = {}
     for _ in range(2):
         for backend in ("staged", "fused"):
-            out = replay(setup, chunk=SERVE_CHUNK, backend=backend)
+            with use_backend(backend):
+                out = replay(setup, chunk=SERVE_CHUNK)
             events[backend] = out.events
             if backend not in best or out.replay_time_s < best[backend]:
                 best[backend] = out.replay_time_s

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import SCALE, TREES, merge_csv
+from repro.service._staged_reference import use_backend
 from repro.service.fastreplay import record_fleet, replay_from_store
 from repro.service.replay import fleet_recipes, prepare_fleet, replay
 
@@ -96,26 +97,23 @@ def test_store_replay_beats_live(nodes, t, tmp_path_factory):
 
     # --- live per-tick ingestion vs store replay ----------------------
     # Interleave repetitions so machine drift hits all paths equally;
-    # keep the best of REPS per path.  The live baseline is the service
-    # *default*: the guarded staged serving loop at per-tick cadence
-    # (``replay()`` defaults to ``backend="staged"``).  The opt-in fused
-    # live loop is recorded alongside as a transparency row so the
+    # keep the best of REPS per path.  The live baseline is the guarded
+    # serving loop at per-tick cadence on the staged reference pipeline
+    # (the service default when the recorded ratios were set).  The
+    # fused live loop is recorded alongside as a transparency row so the
     # speedup attributable to the store (vs the fused arena itself)
     # stays visible.
     live_s = fused_s = fast_s = float("inf")
     live = fused = fast = None
     for _ in range(REPS):
-        out = replay(
-            setup, chunk=LIVE_CHUNK, backend="staged", guard=True
-        )
+        with use_backend("staged"):
+            out = replay(setup, chunk=LIVE_CHUNK, guard=True)
         if out.replay_time_s < live_s:
             live_s, live = out.replay_time_s, out
-        out = replay(
-            setup, chunk=LIVE_CHUNK, backend="fused", guard=True
-        )
+        out = replay(setup, chunk=LIVE_CHUNK, guard=True)
         if out.replay_time_s < fused_s:
             fused_s, fused = out.replay_time_s, out
-        out = replay_from_store(setup, store, backend="fused")
+        out = replay_from_store(setup, store)
         if out.replay_time_s < fast_s:
             fast_s, fast = out.replay_time_s, out
     # The contract the speedup is only allowed to ride on: identical

@@ -4,7 +4,8 @@ The fused :class:`~repro.engine.hotpath.TickArena` claim: at serving
 cadence (one window step per tick, ``chunk = ws``) a preallocated
 single-pass tick — gather-into-ring normalization, one prefix-sum
 reduction, lockstep forest votes — beats the staged
-``FleetIngest → signature_features → forest`` pipeline by >= 2x on a
+``FleetIngest → signature_features → forest`` pipeline (the test-only
+reference in ``repro.service._staged_reference``) by >= 2x on a
 64-node fleet while producing a **bit-identical** alert stream in
 ``exact`` mode (asserted here).  ``float32`` and ``quantized`` modes
 trade signature precision for further throughput and memory; their
@@ -25,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from benchmarks.conftest import SCALE, TREES, merge_csv
+from repro.service._staged_reference import use_backend
 from repro.service.detector import FleetFaultDetector
 from repro.service.replay import fleet_recipes, prepare_fleet, replay
 
@@ -79,7 +81,7 @@ def _config_name(backend: str, mode: str) -> str:
 def test_memory_per_node(setup64):
     """Record the arena's resident bytes per node for every mode."""
     for mode in ("exact", "float32", "quantized"):
-        det = FleetFaultDetector(setup64.trained, backend="fused", mode=mode)
+        det = FleetFaultDetector(setup64.trained, mode=mode)
         rep = det.memory_report()
         assert rep["nodes"] == NODES
         _mem_per_node[mode] = rep["per_node_total_bytes"]
@@ -102,7 +104,8 @@ def test_fused_tick_beats_staged(setup64, chunk):
     outcomes: dict[tuple, object] = {}
     for _ in range(REPS):
         for backend, mode in CONFIGS:
-            out = replay(setup64, chunk=chunk, backend=backend, mode=mode)
+            with use_backend(backend):
+                out = replay(setup64, chunk=chunk, mode=mode)
             key = (backend, mode)
             outcomes[key] = out
             if key not in best or out.replay_time_s < best[key]:

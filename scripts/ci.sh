@@ -30,14 +30,13 @@ if [[ "${RUN_BENCH:-0}" == "1" ]]; then
     python -m repro bench
 fi
 
-echo "== service smoke: fused backend must match staged to the byte =="
+echo "== service smoke: detect must match the golden stream to the byte =="
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
+GOLDEN=tests/golden/detect_smoke_alerts.jsonl
 python -m repro detect --smoke --cache-dir "$SMOKE_DIR/cache" \
-    --alerts "$SMOKE_DIR/staged.jsonl"
-python -m repro detect --smoke --cache-dir "$SMOKE_DIR/cache" \
-    --backend fused --alerts "$SMOKE_DIR/fused.jsonl"
-cmp "$SMOKE_DIR/staged.jsonl" "$SMOKE_DIR/fused.jsonl"
+    --alerts "$SMOKE_DIR/live.jsonl"
+cmp "$GOLDEN" "$SMOKE_DIR/live.jsonl"
 
 echo "== crash-recovery smoke: kill, resume, byte-identical alerts =="
 # Twice, so a flaky pass can't hide: interrupt the guarded replay at
@@ -51,27 +50,23 @@ for attempt in 1 2; do
     python -m repro detect --smoke --cache-dir "$SMOKE_DIR/cache" \
         --checkpoint "$SMOKE_DIR/ck.npz" --resume \
         --alerts "$SMOKE_DIR/resumed.jsonl"
-    cmp "$SMOKE_DIR/staged.jsonl" "$SMOKE_DIR/resumed.jsonl"
+    cmp "$SMOKE_DIR/live.jsonl" "$SMOKE_DIR/resumed.jsonl"
 done
 
 echo "== chaos scenario smoke (seeded faults + kill-and-restore) =="
 python -m repro run fleet-detect-chaos --smoke --cache-dir "$SMOKE_DIR/cache"
 
 echo "== telemetry store smoke: replay-from-store must match live =="
-# Record the smoke window into a repro-telestore/v1 store, replay it
-# through both backends, and the alert JSONL must equal live guarded
+# Record the smoke window into a repro-telestore/v1 store, replay it,
+# and the alert JSONL must equal the golden stream of live guarded
 # ingestion of the same feed — byte for byte.
 python -m repro store record "$SMOKE_DIR/telestore" --smoke \
     --cache-dir "$SMOKE_DIR/cache"
 python -m repro store verify "$SMOKE_DIR/telestore"
 python -m repro detect --smoke --cache-dir "$SMOKE_DIR/cache" \
     --from-store "$SMOKE_DIR/telestore" \
-    --alerts "$SMOKE_DIR/store_staged.jsonl"
-python -m repro detect --smoke --cache-dir "$SMOKE_DIR/cache" \
-    --from-store "$SMOKE_DIR/telestore" --backend fused \
-    --alerts "$SMOKE_DIR/store_fused.jsonl"
-cmp "$SMOKE_DIR/staged.jsonl" "$SMOKE_DIR/store_staged.jsonl"
-cmp "$SMOKE_DIR/staged.jsonl" "$SMOKE_DIR/store_fused.jsonl"
+    --alerts "$SMOKE_DIR/store.jsonl"
+cmp "$GOLDEN" "$SMOKE_DIR/store.jsonl"
 python -m repro run fleet-replay --smoke --cache-dir "$SMOKE_DIR/cache"
 
 echo "== network serve smoke: loopback ingestion must match in-process =="
@@ -150,7 +145,7 @@ kill -9 "$(cat "$SMOKE_DIR/serve.pid")"
 wait "$LOAD_PID"
 wait "$SUP_PID"
 kill "$CHAOS_PID" 2>/dev/null || true
-cmp "$SMOKE_DIR/staged.jsonl" "$SMOKE_DIR/durable.jsonl"
+cmp "$SMOKE_DIR/live.jsonl" "$SMOKE_DIR/durable.jsonl"
 python -m repro run fleet-serve-chaos --smoke --cache-dir "$SMOKE_DIR/cache"
 
 # Lint runs when ruff is available; the lint job in GitHub Actions is

@@ -249,21 +249,10 @@ def _add_service_options(parser: argparse.ArgumentParser) -> None:
         "healthy class; set explicitly for other --segment choices)",
     )
     parser.add_argument(
-        "--shards", type=int, default=None,
-        help="ingestion shards (thread pool); never changes results",
-    )
-    parser.add_argument(
-        "--backend", choices=("staged", "fused"), default="staged",
-        help="tick-path backend: 'staged' (default) or 'fused' "
-        "(preallocated zero-allocation arena; exact mode is "
-        "byte-identical to staged)",
-    )
-    parser.add_argument(
         "--mode", choices=("exact", "float32", "quantized"),
         default="exact",
-        help="fused signature arithmetic (default exact = float64, "
-        "bit-identical; float32/quantized trade accuracy for "
-        "throughput/memory and require --backend fused)",
+        help="signature arithmetic (default exact = float64; "
+        "float32/quantized trade accuracy for throughput/memory)",
     )
     parser.add_argument(
         "--model", default=None,
@@ -313,12 +302,10 @@ def _service_config(args: argparse.Namespace, *, chunk_default=None):
     params.update(
         segment=args.segment,
         noise_std=float(args.noise_std),
-        backend=args.backend,
         mode=args.mode,
         guard=not args.no_guard,
         model_path=args.model,
         cache_dir=args.cache_dir,
-        shards=args.shards,
         replicate=int(args.replicate or 0),
     )
     return ServiceConfig(**params)
@@ -362,8 +349,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             args.from_store,
             t0=args.t0,
             t1=args.t1,
-            shards=config.shards,
-            backend=config.backend,
             mode=config.mode,
             stamp_health=None if config.guard else False,
             sinks=sinks,

@@ -1,6 +1,6 @@
-"""Fused single-pass tick hot path: preallocated per-shard arenas.
+"""Fused single-pass tick hot path: preallocated per-group arenas.
 
-The staged service tick (``FleetIngest.push_blocks`` →
+A staged service tick (per-node ``OnlineSignatureStream.push_block`` →
 ``signature_features`` → ``predict_with_proba``) allocates at every
 stage: each node's burst materializes an extended column buffer, fresh
 prefix sums, a complex signature block, a stacked feature matrix and a
@@ -8,15 +8,15 @@ new forest frontier per tree level.  Per tick that is dozens of numpy
 allocations *per node* — pure overhead once fleets reach hundreds of
 nodes and bursts shrink to serving size.
 
-:class:`TickArena` is the opt-in fused backend: every buffer the tick
-path touches is preallocated once at construction (sized by the fleet's
-geometry and the maximum burst length), and a steady-state tick runs the
-whole pass — gather/sort, min-max normalize, running prefix sums,
+:class:`TickArena` is the service's only tick path: every buffer the
+tick path touches is preallocated once at construction (sized by the
+fleet's geometry and the maximum burst length), and a steady-state tick
+runs the whole pass — gather/sort, min-max normalize, running prefix sums,
 windowed value/derivative means, block reduction, feature layout and the
 lockstep forest walk — through ``out=`` kernels into those arenas.  A
 steady-state tick retains **zero** new numpy memory (asserted by a
 tracemalloc regression test) and its transient peak is bounded by a few
-index temporaries instead of the staged path's per-stage matrices.
+index temporaries instead of a staged pipeline's per-stage matrices.
 
 Exactness contract: in the default ``exact`` mode every floating-point
 operation replays :class:`~repro.engine.streaming.IncrementalSignatureCore`
@@ -24,7 +24,8 @@ operation replays :class:`~repro.engine.streaming.IncrementalSignatureCore`
 :func:`~repro.core.pipeline.signature_features` and the classifier
 replays ``_ForestStack.accumulate`` (sequential per-tree adds), so
 signatures, labels, confidences and therefore alert streams are
-**bit-identical** to the staged path.  ``float32`` mode runs the same
+**bit-identical** to the staged pipeline, which the tests keep as an
+oracle (``repro.service._staged_reference``).  ``float32`` mode runs the same
 pass in single precision (half the state, wider SIMD); ``quantized``
 mode additionally bins emitted signatures to uint8 (256 levels over each
 component's exact value range) and classifies the dequantized bin
@@ -51,7 +52,7 @@ from repro.engine.windows import partition_bounds
 
 __all__ = ["SIGNATURE_MODES", "TickArena"]
 
-#: Supported signature computation modes of the fused backend.
+#: Supported signature computation modes of the arena.
 SIGNATURE_MODES = ("exact", "float32", "quantized")
 
 _LEAF = -1
@@ -232,8 +233,8 @@ class _GroupState:
     """Arena of one geometry group: all nodes sharing a sensor count.
 
     State is stacked column-major ``(c, n, ...)`` — node, sensor row,
-    time — the same shape the staged ``_absorb`` works in, so every
-    kernel below is the batched twin of one staged line.
+    time — the same shape ``IncrementalSignatureCore._absorb`` works
+    in, so every kernel below is the batched twin of one of its lines.
     """
 
     def __init__(self, paths, models, l, wl, ws, max_m, dtype):
@@ -266,7 +267,7 @@ class _GroupState:
         self.span = np.where(degenerate, 1.0, span).astype(dtype)[:, :, None]
         # Retained per-node streaming state.  The ring stores the last
         # ``wl + 1`` normalized columns at position ``t % size`` (the
-        # staged core's layout): a tick writes only its new columns and
+        # streaming core's layout): a tick writes only its new columns and
         # derivative references read single columns — no chronological
         # tail is ever materialized.
         self.ring = np.zeros((c, n, self.size), dtype=dtype)
@@ -437,7 +438,7 @@ class TickArena:
     forest:
         The fitted shared :class:`~repro.ml.forest.RandomForestClassifier`.
     mode:
-        ``"exact"`` (float64, bit-identical to the staged path),
+        ``"exact"`` (float64, bit-identical to the streaming core),
         ``"float32"`` or ``"quantized"`` (float32 compute + uint8-binned
         signatures).
     max_chunk:
@@ -484,7 +485,7 @@ class TickArena:
         lengths = {engine.signature_length(p) for p in wanted}
         if len(lengths) != 1:
             raise ValueError(
-                "fused backend needs one uniform signature length across "
+                "the tick arena needs one uniform signature length across "
                 f"the fleet, got {sorted(lengths)}"
             )
         self.blocks = lengths.pop()
@@ -557,7 +558,7 @@ class TickArena:
     def signature(self, row: int) -> np.ndarray:
         """Complex signature of one emit row of the *last* tick.
 
-        Exact mode reconstructs the staged signature bit for bit (the
+        Exact mode reconstructs the streaming signature bit for bit (the
         feature layout is lossless ``[real | imag]``); float32/quantized
         modes return what the classifier actually saw.
         """
@@ -573,9 +574,8 @@ class TickArena:
 
         Same layout as
         :meth:`repro.engine.streaming.IncrementalSignatureCore.state_dict`
-        (the arena's per-node ring row *is* the staged core's ring), so
-        the service checkpoint layer can move state between backends in
-        exact mode without conversion.
+        (the arena's per-node ring row *is* the streaming core's ring),
+        so checkpoints store it without conversion.
         """
         g, i = self._node[path]
         entries = (
@@ -797,7 +797,7 @@ class TickArena:
         """One fused sub-burst for the nodes ``sl`` of group ``g``.
 
         The batched twin of ``IncrementalSignatureCore._absorb``: every
-        numbered step mirrors one staged operation in the same
+        numbered step mirrors one of its operations in the same
         floating-point association order, into preallocated buffers.
         Returns the number of signatures emitted per node.
         """

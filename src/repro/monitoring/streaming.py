@@ -105,8 +105,8 @@ class OnlineSignatureStream:
 
     @property
     def state_nbytes(self) -> int:
-        """Retained bytes of the incremental core (memory-per-node of
-        the staged serving path)."""
+        """Retained bytes of the incremental core (memory per node of
+        one stream)."""
         return self._core.state_nbytes
 
     def push(self, sample: np.ndarray) -> np.ndarray | None:

@@ -512,12 +512,11 @@ def _run_fleet(spec: ScenarioSpec, ctx: ExecutionContext) -> ScenarioResult:
     blocks = ev.get("blocks", "all")
     if isinstance(blocks, str) and blocks != "all":
         blocks = int(blocks)
-    shards = ev.get("shards")
     rows = []
     fleet_results = []
     for recipe in spec.datasets:
         segment = ctx.segment(recipe)
-        res = run_fleet_on_segment(segment, blocks=blocks, shards=shards)
+        res = run_fleet_on_segment(segment, blocks=blocks)
         fleet_results.append(res)
         total_time = res.fit_time_s + res.transform_time_s
         rows.append(
@@ -552,9 +551,9 @@ def _run_fleet_detect(
     fleet; ``fleet_sizes`` (optional) replays growing recipe prefixes so
     a single scenario sweeps fleet scale.  Rows report the alert
     stream's quality against the injected ground truth plus replay
-    throughput.  ``backend``/``mode`` select the detector's tick path
-    (staged, or the fused arena with exact/float32/quantized signature
-    arithmetic — see :class:`repro.service.detector.FleetFaultDetector`).
+    throughput.  ``mode`` selects the detector's signature arithmetic
+    (exact/float32/quantized — see
+    :class:`repro.service.detector.FleetFaultDetector`).
 
     Plumbs through the :mod:`repro.service.api` facade: the evaluation
     dict's service keys become one :class:`ServiceConfig` (historically
@@ -601,12 +600,12 @@ def _run_fleet_replay(
 
     One guarded live replay of the fleet (the per-tick serving loop),
     then the same held-out feed recorded into a ``repro-telestore/v1``
-    store and replayed from disk through each configured backend —
-    partition-sized blocks fed straight into the detector.  The final
-    column asserts the byte-identity contract: every store replay's
-    alert JSONL must serialize byte-for-byte equal to the live run's,
-    and the drill raises if it does not.  ``Speedup`` is live wall-clock
-    over store-replay wall-clock for the identical window.
+    store and replayed from disk — partition-sized blocks fed straight
+    into the detector.  The final column asserts the byte-identity
+    contract: the store replay's alert JSONL must serialize
+    byte-for-byte equal to the live run's, and the drill raises if it
+    does not.  ``Speedup`` is live wall-clock over store-replay
+    wall-clock for the identical window.
     """
     import json
     import tempfile
@@ -628,7 +627,6 @@ def _run_fleet_replay(
         top_blocks=int(param("top_blocks")),
     )
     partition_ticks = int(ev.get("partition_ticks", 1024))
-    backends = tuple(ev.get("backends", ("fused", "staged")))
     setup = prepare_fleet(
         spec.datasets,
         context=ctx,
@@ -657,9 +655,6 @@ def _run_fleet_replay(
 
     live = replay(setup, chunk=chunk, guard=True, **policy_kwargs)
     live_jsonl = jsonl(live.events)
-    rows = [row(f"live chunk={chunk}", live, "", "")]
-    outcomes = [live]
-    mismatches = []
     with tempfile.TemporaryDirectory() as td:
         store = record_fleet(
             setup,
@@ -668,45 +663,33 @@ def _run_fleet_replay(
             chunk=chunk,
             guarded=True,
         )
-        for backend in backends:
-            fast = replay_from_store(setup, store, backend=backend,
-                                     **policy_kwargs)
-            identical = jsonl(fast.events) == live_jsonl
-            if not identical:
-                mismatches.append(backend)
-            speedup = (
-                round(live.replay_time_s / fast.replay_time_s, 2)
-                if fast.replay_time_s > 0
-                else float("inf")
-            )
-            rows.append(
-                row(
-                    f"store {backend}",
-                    fast,
-                    speedup,
-                    "yes" if identical else "NO",
-                )
-            )
-            outcomes.append(fast)
+        fast = replay_from_store(setup, store, **policy_kwargs)
+    identical = jsonl(fast.events) == live_jsonl
+    speedup = (
+        round(live.replay_time_s / fast.replay_time_s, 2)
+        if fast.replay_time_s > 0
+        else float("inf")
+    )
+    rows = [
+        row(f"live chunk={chunk}", live, "", ""),
+        row("store", fast, speedup, "yes" if identical else "NO"),
+    ]
     notes = [
         f"store: {len(store.partitions)} partition(s) of "
         f"{partition_ticks} ticks, {store.nbytes / 1e6:.1f} MB",
         "byte-identity contract "
-        + ("held" if not mismatches else "VIOLATED")
+        + ("held" if identical else "VIOLATED")
         + ": store-replay alert JSONL vs guarded live ingestion",
     ]
-    if mismatches:
-        raise AssertionError(
-            "store-replay byte-identity contract violated for backend(s) "
-            f"{mismatches!r}"
-        )
+    if not identical:
+        raise AssertionError("store-replay byte-identity contract violated")
     return ScenarioResult(
         spec=spec,
         title=spec.title,
         headers=FLEET_REPLAY_HEADERS,
         rows=rows,
         notes=notes,
-        extras={"outcomes": outcomes},
+        extras={"outcomes": [live, fast]},
     )
 
 
@@ -748,7 +731,6 @@ def _run_fleet_detect_chaos(
         close_after=int(param("close_after")),
         min_confidence=float(param("min_confidence")),
         top_blocks=int(param("top_blocks")),
-        backend=str(ev.get("backend", "staged")),
         mode=str(ev.get("mode", "exact")),
     )
     chaos = ChaosConfig(

@@ -4,10 +4,6 @@ The paper's end goal is operational: signatures exist so a fleet can be
 *monitored* online, faults classified and causes localized.  This
 subpackage composes the existing layers into that one hot path:
 
-* :mod:`~repro.service.ingest` — sharded per-node ingestion: one
-  ring-buffered :class:`~repro.monitoring.streaming.OnlineSignatureStream`
-  per monitored node, keyed by
-  :class:`~repro.engine.fleet.FleetSignatureEngine` sensor-tree paths;
 * :mod:`~repro.service.classify` — training of the shared fault
   classifier plus lockstep batched classification of every signature the
   fleet emits in a tick (one stacked-forest predict call, not one per
@@ -16,8 +12,8 @@ subpackage composes the existing layers into that one hot path:
   and streaming JSONL / markdown alert sinks (reusing
   :mod:`repro.experiments.reporting`);
 * :mod:`~repro.service.detector` — :class:`FleetFaultDetector`, the
-  composed ingest → classify → alert hot path, plus the naive per-node
-  baseline loop it is benchmarked against;
+  composed ingest → classify → alert hot path, one fused
+  :class:`~repro.engine.hotpath.TickArena` pass per tick;
 * :mod:`~repro.service.replay` — the deterministic replay driver that
   feeds cached ``.npz`` segments (``monitoring.storage`` via the
   ``repro.scenarios`` :class:`~repro.scenarios.cache.ArtifactCache`)
@@ -74,7 +70,6 @@ from repro.service.api import (
     ServiceConfig,
     build_detector,
     build_setup,
-    config_from_kwargs,
     replicate_setup,
     serve,
 )
@@ -88,9 +83,8 @@ from repro.service.checkpoint import (
     save_checkpoint,
 )
 from repro.service.classify import FleetClassifier, TrainedFleet, train_fleet
-from repro.service.detector import BACKENDS, FleetFaultDetector, detect_naive
+from repro.service.detector import FleetFaultDetector
 from repro.service.guard import GuardConfig, GuardedDetector
-from repro.service.ingest import FleetIngest
 from repro.service.model_store import (
     ModelStoreError,
     load_fleet_npz,
@@ -132,7 +126,6 @@ __all__ = [
     "AlertLog",
     "AlertPolicy",
     "AlertSink",
-    "BACKENDS",
     "BackpressureConfig",
     "ChaosConfig",
     "ChaosInjector",
@@ -140,7 +133,6 @@ __all__ = [
     "CheckpointError",
     "FleetClassifier",
     "FleetFaultDetector",
-    "FleetIngest",
     "FleetReplaySetup",
     "FleetServer",
     "Frame",
@@ -164,8 +156,6 @@ __all__ = [
     "WalWriter",
     "build_detector",
     "build_setup",
-    "config_from_kwargs",
-    "detect_naive",
     "encode_binary",
     "encode_eof",
     "encode_json",

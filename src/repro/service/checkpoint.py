@@ -9,8 +9,7 @@ convention of :mod:`repro.monitoring.storage`):
 
 * per-node :class:`~repro.engine.streaming.IncrementalSignatureCore`
   state — normalization ring, running sum, pending window-start
-  snapshots, counts (backend-neutral: the fused arena exports the same
-  layout);
+  snapshots, counts (the fused arena exports the core's layout);
 * per-node :class:`~repro.service.alerts.AlertPolicy` hysteresis state,
   including the open alert;
 * the alert events emitted so far plus replay bookkeeping
@@ -21,14 +20,18 @@ convention of :mod:`repro.monitoring.storage`):
   over every model array) plus the replay knobs, so a checkpoint can
   never silently resume against a different fleet or configuration.
 
-The contract — test-enforced per scenario and backend under a
-PYTHONHASHSEED subprocess sweep — is *byte identity*: crash → restore →
+The contract — test-enforced per scenario under a PYTHONHASHSEED
+subprocess sweep — is *byte identity*: crash → restore →
 replay-the-remaining-ticks produces alert JSONL identical to an
-uninterrupted run.  Cross-backend restores (staged checkpoint → fused
-resume and vice versa) are allowed in exact mode, where the two
-backends are bit-identical anyway; any geometry, knob, mode or lineage
-mismatch raises :class:`CheckpointError` naming the offending field —
-never silent drift.
+uninterrupted run.  Any geometry, knob, mode or lineage mismatch raises
+:class:`CheckpointError` naming the offending field — never silent
+drift.
+
+The manifest carries a ``"backend"`` key, always ``"fused"``, so code
+that predates the single tick path (and requires the key) can still
+read these archives; on load the key is ignored.  Archives that such
+code stamped ``"staged"`` hold the same exact-mode stream layout and
+resume as is.
 """
 
 from __future__ import annotations
@@ -170,7 +173,7 @@ def save_checkpoint(
     manifest = {
         "format": CHECKPOINT_FORMAT,
         "alerts_schema": ALERTS_SCHEMA,
-        "backend": detector.backend,
+        "backend": "fused",
         "mode": detector.mode,
         "fingerprint": fingerprint,
         "chunk": int(chunk),
@@ -292,7 +295,7 @@ def restore_checkpoint(
 ) -> tuple[list[dict], int, int, int]:
     """Restore a checkpoint into a freshly constructed detector.
 
-    Validates lineage, geometry, mode/backend compatibility and every
+    Validates lineage, geometry, signature mode and every
     pinned replay knob before touching any state — a mismatch raises
     :class:`CheckpointError` with the offending ``field``.  Returns
     ``(events, next_lo, n_events, n_alerts)`` for the replay loop.
@@ -307,15 +310,9 @@ def restore_checkpoint(
     if m["mode"] != detector.mode:
         raise CheckpointError(
             f"checkpoint mode {m['mode']!r} is incompatible with a "
-            f"{detector.mode!r} resume; cross-backend restores are only "
-            "exact-mode (float32/quantized state is not bit-portable)",
+            f"{detector.mode!r} resume (signature state is not "
+            "bit-portable across modes)",
             field="mode",
-        )
-    if m["backend"] != detector.backend and detector.mode != "exact":
-        raise CheckpointError(
-            f"checkpoint backend {m['backend']!r} cannot resume on "
-            f"{detector.backend!r} outside exact mode",
-            field="backend",
         )
     if int(m["chunk"]) != int(chunk):
         raise CheckpointError(

@@ -1,19 +1,20 @@
 """The composed online hot path: ingest → classify → alert.
 
 :class:`FleetFaultDetector` is the service's per-tick work unit.  One
-``process_block`` call takes a burst of raw samples per node, pushes
-every burst through the ring-buffered incremental streams, classifies
-*all* signatures the fleet emitted in that tick with a single
-stacked-forest pass, drives each node's threshold + hysteresis
+``process_block`` call takes a burst of raw samples per node and runs
+the whole tick inside a preallocated
+:class:`~repro.engine.hotpath.TickArena` (stream update, feature layout
+and one lockstep forest pass over every signature the fleet emitted),
+drives each node's threshold + hysteresis
 :class:`~repro.service.alerts.AlertPolicy`, and attributes every opening
 alert back to raw sensors via
 :func:`repro.analysis.rootcause.explain_difference` against the node's
 healthy reference signature.
 
-:func:`detect_naive` is the baseline the batched path is benchmarked
-against — the obvious per-node loop (one ``push`` per sample, one
-single-row forest predict per signature).  Both paths produce identical
-alert events; only the batching differs.
+The tests check this path bit for bit against two slower oracles, the
+staged pipeline (per-node streams, stacked features, one forest
+classify) and the naive per-node loop, kept test-only in
+:mod:`repro.service._staged_reference`.
 """
 
 from __future__ import annotations
@@ -23,18 +24,26 @@ from typing import Mapping
 import numpy as np
 
 from repro.analysis.rootcause import explain_difference, findings_payload
-from repro.core.pipeline import signature_features
 from repro.engine.hotpath import SIGNATURE_MODES, TickArena
 from repro.service.alerts import Alert, AlertPolicy
 from repro.service.classify import TrainedFleet
-from repro.service.ingest import FleetIngest
 
-__all__ = ["FleetFaultDetector", "detect_naive"]
+__all__ = ["FleetFaultDetector", "check_pinned_knobs"]
 
-#: Tick-path backends: ``staged`` is the original multi-stage pipeline
-#: (ingest → features → forest), ``fused`` runs the whole tick inside a
-#: preallocated :class:`~repro.engine.hotpath.TickArena`.
-BACKENDS = ("staged", "fused")
+
+def check_pinned_knobs(backend: str, shards: int | None) -> None:
+    """Reject every value of the retired ``backend``/``shards`` knobs
+    but the one the service runs.
+
+    Only the fused tick path and one shard exist; the names survive as
+    pass-through keywords of :class:`~repro.service.api.ServiceConfig`
+    and :func:`~repro.service.fastreplay.replay_from_store` so older
+    callers keep working, and nothing reads them past this check.
+    """
+    if backend != "fused":
+        raise ValueError(f"backend must be 'fused', got {backend!r}")
+    if shards not in (None, 1):
+        raise ValueError(f"shards must be None or 1, got {shards!r}")
 
 
 def _alert_event(
@@ -87,26 +96,16 @@ class FleetFaultDetector:
         Per-node :class:`~repro.service.alerts.AlertPolicy` parameters.
     top_blocks:
         Deviating blocks attributed per opening alert.
-    shards:
-        Ingestion shards (see :class:`~repro.service.ingest.FleetIngest`);
-        never changes results.
     record_history:
         When true (the default, used by replay scoring), every window's
         prediction is kept on :attr:`history` and closed alerts on each
         policy's ``history``.  Long-running serving loops pass ``False``
         so memory stays bounded regardless of uptime.
-    backend:
-        ``"staged"`` (default) runs the original ingest → features →
-        forest pipeline; ``"fused"`` runs every tick inside a
-        preallocated :class:`~repro.engine.hotpath.TickArena` (zero
-        steady-state numpy allocations).  Exact-mode fused output is
-        bit-identical to staged.
     mode:
-        Fused signature arithmetic: ``"exact"`` (float64, default),
+        Signature arithmetic: ``"exact"`` (float64, default),
         ``"float32"``, or ``"quantized"`` (uint8-binned features).
-        Only ``"exact"`` is valid with the staged backend.
     max_chunk:
-        Largest per-tick burst the fused arena sizes its scratch for
+        Largest per-tick burst the arena sizes its scratch for
         (bigger bursts are processed in slices; never changes results).
         Scratch scales with it — the store replayer passes its block
         size so whole recorded partitions absorb in one fused pass.
@@ -120,38 +119,23 @@ class FleetFaultDetector:
         close_after: int = 2,
         min_confidence: float = 0.0,
         top_blocks: int = 3,
-        shards: int | None = None,
         record_history: bool = True,
-        backend: str = "staged",
         mode: str = "exact",
         max_chunk: int = 256,
     ):
-        if backend not in BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
         if mode not in SIGNATURE_MODES:
             raise ValueError(
                 f"unknown signature mode {mode!r}; expected one of {SIGNATURE_MODES}"
             )
-        if backend == "staged" and mode != "exact":
-            raise ValueError(
-                "float32/quantized signature modes require backend='fused'"
-            )
         self.trained = trained
-        self.backend = backend
         self.mode = mode
-        if backend == "fused":
-            self.ingest = None
-            self.arena = TickArena(
-                trained.engine,
-                trained.classifier.forest,
-                mode=mode,
-                max_chunk=max_chunk,
-            )
-            self._paths = list(self.arena.paths)
-        else:
-            self.ingest = FleetIngest(trained.engine, shards=shards)
-            self.arena = None
-            self._paths = list(self.ingest.paths)
+        self.arena = TickArena(
+            trained.engine,
+            trained.classifier.forest,
+            mode=mode,
+            max_chunk=max_chunk,
+        )
+        self._paths = list(self.arena.paths)
         self.top_blocks = int(top_blocks)
         self.record_history = bool(record_history)
         self._policies = {
@@ -177,9 +161,7 @@ class FleetFaultDetector:
         return self._paths
 
     def memory_report(self) -> dict:
-        """Bytes retained per node by the tick path (fused backend only)."""
-        if self.arena is None:
-            raise ValueError("memory_report() requires backend='fused'")
+        """Bytes retained per node by the tick path."""
         return self.arena.memory_report()
 
     def policy(self, path: str) -> AlertPolicy:
@@ -190,28 +172,14 @@ class FleetFaultDetector:
         return self.trained.engine.model(path).n_sensors
 
     def node_stream_state(self, path: str) -> dict:
-        """One node's retained streaming state, backend-neutral.
-
-        Both backends return the
+        """One node's retained streaming state, in the
         :meth:`~repro.engine.streaming.IncrementalSignatureCore.state_dict`
-        layout (the fused arena's per-node ring row is the staged core's
-        ring), which is what lets exact-mode checkpoints move between
-        backends.
-        """
-        if self.arena is not None:
-            return self.arena.node_state(path)
-        return self.ingest.stream(path).state_dict()
+        layout (the arena's per-node ring row is the core's ring)."""
+        return self.arena.node_state(path)
 
     def restore_stream_states(self, states: Mapping[str, dict]) -> None:
         """Restore :meth:`node_stream_state` snapshots for every node."""
-        if self.arena is not None:
-            self.arena.restore_states(states)
-            return
-        missing = [p for p in self._paths if p not in states]
-        if missing:
-            raise KeyError(f"missing restore state for node(s) {missing!r}")
-        for p in self._paths:
-            self.ingest.stream(p).load_state(states[p])
+        self.arena.restore_states(states)
 
     def windows_seen(self, path: str) -> int:
         """Windows classified so far for one node."""
@@ -231,9 +199,7 @@ class FleetFaultDetector:
 
         ``sig_at(j)`` lazily materializes the j-th emitted signature —
         only opening alerts need one (for root-cause attribution), so
-        the fused backend pays nothing for it on quiet ticks.  Both
-        backends funnel through here, which is what makes their alert
-        streams structurally identical.
+        quiet ticks pay nothing for it.
         """
         history_l, history_c = self.history[path]
         policy = self._policies[path]
@@ -280,24 +246,21 @@ class FleetFaultDetector:
     def process_block(self, data: Mapping[str, np.ndarray]) -> list[dict]:
         """Ingest one burst per node; return the alert events it caused.
 
-        The hot path: every node's burst goes through its incremental
-        stream, all emitted signatures are classified in **one** batched
-        forest pass, and the per-node alert policies advance window by
-        window.  Events are ordered by (sorted node path, window).
+        The hot path: one fused arena pass updates every node's stream
+        and classifies all emitted signatures in **one** lockstep forest
+        walk, then the per-node alert policies advance window by window.
+        Events are ordered by (sorted node path, window).
         """
         events: list[dict] = []
-        if self.arena is not None:
-            for path, labels, confidence, row0 in self.arena.tick(data):
-                self._advance(
-                    path,
-                    labels,
-                    confidence,
-                    lambda j, r0=row0: self.arena.signature(r0 + j),
-                    events,
-                )
-            return events
-        signatures = self.ingest.push_blocks(data)
-        return self._advance_staged(signatures, events)
+        for path, labels, confidence, row0 in self.arena.tick(data):
+            self._advance(
+                path,
+                labels,
+                confidence,
+                lambda j, r0=row0: self.arena.signature(r0 + j),
+                events,
+            )
+        return events
 
     def process_blocks(self, blocks) -> list[dict]:
         """Block-feed entry point: drain an iterable of bursts.
@@ -305,9 +268,9 @@ class FleetFaultDetector:
         ``blocks`` yields ``{path: (n, m) matrix}`` mappings — e.g. the
         telemetry store's partition scan — each of which is processed
         like one :meth:`process_block` tick; the concatenated event list
-        is returned.  With ``backend="fused"`` and ``max_chunk`` sized
-        to the block length, each whole block runs as a single fused
-        arena pass (no per-tick Python loop), which is what
+        is returned.  With ``max_chunk`` sized to the block length, each
+        whole block runs as a single fused arena pass (no per-tick
+        Python loop), which is what
         :func:`repro.service.fastreplay.replay_from_store` feeds.  Event
         *content* is identical to any other chunking of the same samples;
         only the grouping differs (see ``fastreplay`` for the live-order
@@ -317,78 +280,3 @@ class FleetFaultDetector:
         for data in blocks:
             events.extend(self.process_block(data))
         return events
-
-    def _advance_staged(self, signatures, events: list[dict]) -> list[dict]:
-        """Classify + advance policies over staged per-node signatures."""
-        order = [p for p in sorted(signatures) if signatures[p].shape[0]]
-        if not order:
-            return []
-        stacked = np.concatenate([signatures[p] for p in order], axis=0)
-        labels, confidence = self.trained.classifier.classify(stacked)
-        pos = 0
-        for path in order:
-            sigs = signatures[path]
-            k = sigs.shape[0]
-            self._advance(
-                path,
-                labels[pos : pos + k],
-                confidence[pos : pos + k],
-                lambda j, s=sigs: s[j],
-                events,
-            )
-            pos += k
-        return events
-
-
-def detect_naive(
-    trained: TrainedFleet,
-    data: Mapping[str, np.ndarray],
-    *,
-    open_after: int = 2,
-    close_after: int = 2,
-    min_confidence: float = 0.0,
-    top_blocks: int = 3,
-) -> list[dict]:
-    """The per-node baseline loop (events identical to the batched path).
-
-    For each node in turn: push samples one at a time, classify each
-    emitted signature with a single-row forest predict, advance that
-    node's policy.  This is what a straightforward implementation looks
-    like, and what ``benchmarks/test_service_scaling.py`` measures the
-    batched detector against.
-    """
-    events: list[dict] = []
-    forest = trained.classifier.forest
-    for path in sorted(data):
-        stream = trained.engine.stream(path)
-        policy = AlertPolicy(
-            healthy_label=trained.healthy_label,
-            open_after=open_after,
-            close_after=close_after,
-            min_confidence=min_confidence,
-        )
-        matrix = np.asarray(data[path], dtype=np.float64)
-        window = 0
-        for t in range(matrix.shape[1]):
-            signature = stream.push(matrix[:, t])
-            if signature is None:
-                continue
-            features = signature_features(signature[None, :])
-            label_arr, proba = forest.predict_with_proba(features)
-            label = int(label_arr[0])
-            conf = float(proba[0].max())
-            for kind, alert in policy.update(window, label, conf):
-                events.append(
-                    _alert_event(
-                        trained,
-                        kind,
-                        path,
-                        alert,
-                        window,
-                        conf,
-                        signature,
-                        top_blocks,
-                    )
-                )
-            window += 1
-    return events

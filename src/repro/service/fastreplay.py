@@ -13,9 +13,9 @@ store straight into the fused :class:`~repro.engine.hotpath.TickArena`
 (one fused pass per partition, no per-tick loop, no guard re-validation).
 
 **Byte-identity contract.**  The alert JSONL of a store replay is
-byte-identical to live ingestion of the same window — across backends
-and ``PYTHONHASHSEED``, like the PR 6/7 contracts.  Two mechanisms make
-that hold:
+byte-identical to live ingestion of the same window — across processes
+and ``PYTHONHASHSEED`` values, like the live-replay contracts.  Two
+mechanisms make that hold:
 
 * block-fed event *content* is already identical (the arena's block
   kernel is bit-exact vs the per-tick path); only the event *grouping*
@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.service.alerts import AlertSink
 from repro.service.checkpoint import fleet_fingerprint
-from repro.service.detector import FleetFaultDetector
+from repro.service.detector import FleetFaultDetector, check_pinned_knobs
 from repro.service.replay import (
     SERVICE_DEFAULTS,
     FleetReplaySetup,
@@ -201,12 +201,15 @@ def replay_from_store(
     stamped with the guard's ``health: "healthy"`` field, making the
     resulting JSONL byte-identical to live ingestion of the same window.
 
+    ``backend``/``shards`` are retired pass-through keywords: only
+    ``"fused"`` and ``None``/``1`` are accepted.
     ``stamp_health`` overrides the recording's ``guarded`` flag;
     ``verify_fingerprint=False`` skips the model-lineage check (only for
     stores recorded without one).  Scores are computed against sliced
     ground truth when ``t0`` is window-stride aligned; otherwise the
     replay still runs but scores report 0.0 (no truth to compare).
     """
+    check_pinned_knobs(backend, shards)
     if not isinstance(store, TeleStore):
         store = TeleStore(store)
     expected = sorted(setup.eval_data)
@@ -261,9 +264,7 @@ def replay_from_store(
         close_after=close_after,
         min_confidence=min_confidence,
         top_blocks=top_blocks,
-        shards=shards,
         record_history=True,
-        backend=backend,
         mode=mode,
         max_chunk=max(1, max_block),
     )

@@ -30,7 +30,7 @@ re-admitted on probation and recovers to ``healthy`` after
 ``recover_after`` clean bursts.  Clean blocks pass straight through to
 the wrapped detector, whose alert events gain a ``health`` field;
 :meth:`GuardedDetector.fleet_health` is the ``memory_report()``-style
-payload with per-node and per-shard (worst-node) states.
+payload with per-node states and fleet-wide state tallies.
 
 The guard's steady-state cost is a dict lookup and one ``sum()``
 reduction per block (NaN/Inf propagate to the sum, so a single
@@ -49,7 +49,6 @@ import numpy as np
 
 from repro.service.alerts import Alert, AlertPolicy
 from repro.service.detector import FleetFaultDetector
-from repro.service.ingest import shard_of
 
 __all__ = [
     "FAULT_CLASSES",
@@ -71,7 +70,6 @@ FAULT_CLASSES = (
 #: Node health states, ordered from best to worst.
 HEALTH_STATES = ("healthy", "degraded", "quarantined")
 _HEALTHY, _DEGRADED, _QUARANTINED = HEALTH_STATES
-_STATE_RANK = {s: i for i, s in enumerate(HEALTH_STATES)}
 
 #: Guard event severities per action (the severity-classified alerting
 #: shape: info = bookkeeping, warning = data lost, critical = a node
@@ -200,9 +198,6 @@ class GuardedDetector:
         The wrapped :class:`FleetFaultDetector`.
     config:
         Degradation-policy knobs; defaults to :class:`GuardConfig()`.
-    shards:
-        Shard count of the fleet-health payload's per-shard rollup
-        (defaults to the staged ingest's shard count, else 1).
     """
 
     def __init__(
@@ -210,17 +205,9 @@ class GuardedDetector:
         detector: FleetFaultDetector,
         *,
         config: GuardConfig | None = None,
-        shards: int | None = None,
     ):
         self.inner = detector
         self.config = config or GuardConfig()
-        if shards is None:
-            shards = (
-                detector.ingest.shards
-                if detector.ingest is not None
-                else 1
-            )
-        self.shards = int(shards)
         self._health: dict[str, NodeHealth] = {
             p: NodeHealth() for p in detector.paths
         }
@@ -412,25 +399,17 @@ class GuardedDetector:
     def fleet_health(self) -> dict:
         """``memory_report()``-style fleet-health payload.
 
-        Per-node health records, a per-shard rollup (each shard reports
-        its *worst* node's state — the signal an operator routes on),
-        fleet-wide state tallies and the stray paths seen so far.
+        Per-node health records, fleet-wide state tallies and the stray
+        paths seen so far.
         """
         states = {s: 0 for s in HEALTH_STATES}
-        shard_states: dict[int, str] = {
-            s: _HEALTHY for s in range(self.shards)
-        }
-        for p, h in self._health.items():
+        for h in self._health.values():
             states[h.state] += 1
-            shard = shard_of(p, self.shards)
-            if _STATE_RANK[h.state] > _STATE_RANK[shard_states[shard]]:
-                shard_states[shard] = h.state
         return {
             "tick": self.tick,
             "nodes": {
                 p: h.to_dict() for p, h in sorted(self._health.items())
             },
             "states": states,
-            "shards": {str(s): shard_states[s] for s in sorted(shard_states)},
             "unknown_nodes": dict(sorted(self._unknown.items())),
         }

@@ -431,11 +431,9 @@ def replay(
     close_after: int = SERVICE_DEFAULTS["close_after"],
     min_confidence: float = SERVICE_DEFAULTS["min_confidence"],
     top_blocks: int = SERVICE_DEFAULTS["top_blocks"],
-    shards: int | None = None,
     sinks: Sequence[AlertSink] = (),
     interval: float = 0.0,
     record_history: bool = True,
-    backend: str = "staged",
     mode: str = "exact",
     guard: bool | GuardConfig | None = None,
     chaos: ChaosConfig | None = None,
@@ -456,9 +454,8 @@ def replay(
     ground-truth scores — which need the prediction history — are
     reported as 0.0.
 
-    ``backend``/``mode`` select the detector's tick path (see
-    :class:`FleetFaultDetector`); ``backend="fused"`` with the default
-    exact mode replays to byte-identical alert streams.
+    ``mode`` selects the detector's signature arithmetic (see
+    :class:`FleetFaultDetector`).
 
     Robustness knobs:
 
@@ -502,9 +499,7 @@ def replay(
         close_after=close_after,
         min_confidence=min_confidence,
         top_blocks=top_blocks,
-        shards=shards,
         record_history=record_history,
-        backend=backend,
         mode=mode,
         max_chunk=chunk,
     )

@@ -2,21 +2,23 @@
 
 Invoked by ``tests/test_checkpoint_contract.py`` as::
 
-    python tests/_checkpoint_driver.py SCENARIO BACKEND CACHE_DIR OUT DIR MODE
+    python tests/_checkpoint_driver.py SCENARIO STAMP CACHE_DIR OUT DIR MODE
 
 Builds the named registered scenario's **smoke** fleet (through the
 shared artifact cache), then either:
 
 * ``full``   — one uninterrupted guarded replay, alert JSONL to OUT;
 * ``resume`` — replay killed before the middle tick with per-tick
-  checkpoints, then a second replay in the *same process family* (fresh
+  checkpoints, the checkpoint manifest's ``"backend"`` key rewritten to
+  STAMP (``staged`` is what writers from before the single tick path
+  stamped), then a second replay in the *same process family* (fresh
   detector, fresh sinks) restoring the checkpoint and finishing.  OUT
   ends up holding the complete stream because resume re-emits the
   checkpointed prefix into the truncating sink.
 
 Chaos-kind scenarios replay under their configured fault injection in
 both modes, so the contract is exercised on hostile input too.  The
-test compares OUT bytes across modes, backends and PYTHONHASHSEED
+test compares OUT bytes across modes, stamps and PYTHONHASHSEED
 values.
 """
 
@@ -27,13 +29,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.scenarios.cache import ArtifactCache, ExecutionContext
 from repro.scenarios.registry import get_scenario
+from repro.service._staged_reference import stamp_legacy_backend
 from repro.service.alerts import JSONLAlertSink
 from repro.service.chaos import ChaosConfig
 from repro.service.replay import SERVICE_DEFAULTS, prepare_fleet, replay
 
 
 def main() -> int:
-    scenario_name, backend, cache_dir, out, workdir, run_mode = sys.argv[1:7]
+    scenario_name, stamp, cache_dir, out, workdir, run_mode = sys.argv[1:7]
     spec = get_scenario(scenario_name)
     smoke = spec.smoke_dict()
     if "datasets" in smoke:
@@ -71,7 +74,6 @@ def main() -> int:
         close_after=int(param("close_after")),
         min_confidence=float(param("min_confidence")),
         top_blocks=int(param("top_blocks")),
-        backend=backend,
         mode=str(ev.get("mode", "exact")),
         guard=True,
         chaos=chaos,
@@ -92,6 +94,7 @@ def main() -> int:
         stop_after=max(1, n_ticks // 2),
         **kwargs,
     )
+    stamp_legacy_backend(checkpoint, stamp)
     replay(
         setup,
         sinks=[JSONLAlertSink(out)],

@@ -1,11 +1,16 @@
-"""The crash-recovery contract, enforced per scenario and backend.
+"""The crash-recovery contract, enforced per scenario.
 
-For **every** registered ``fleet-detect*`` scenario at smoke size, on
-both backends: interrupting the replay at the middle tick and resuming
-from the checkpoint must produce alert JSONL **byte-identical** to an
+For **every** registered ``fleet-detect*`` scenario at smoke size:
+interrupting the replay at the middle tick and resuming from the
+checkpoint must produce alert JSONL **byte-identical** to an
 uninterrupted run — with the two runs in separate processes under
 *different* ``PYTHONHASHSEED`` values, so no accidental hash-order
 dependence can hide in either the replay or the checkpoint codecs.
+
+Each scenario resumes twice: from the checkpoint as written (manifest
+``"backend": "fused"``) and from the same checkpoint stamped
+``"backend": "staged"``, as writers from before the single tick path
+stamped every default checkpoint — both must resume to the same bytes.
 """
 
 import os
@@ -20,8 +25,8 @@ from repro.scenarios.registry import list_scenarios
 SRC = Path(__file__).resolve().parent.parent / "src"
 DRIVER = Path(__file__).resolve().parent / "_checkpoint_driver.py"
 
-#: Cycled across (scenario, backend, mode) runs so full and resume runs
-#: of the same comparison always see different hash seeds.
+#: Cycled across runs so the full run and each resume of a scenario
+#: always see different hash seeds.
 HASH_SEEDS = ("0", "7", "31337")
 
 
@@ -39,7 +44,6 @@ def test_sweep_covers_all_registered_fleet_scenarios():
     names = fleet_detect_scenarios()
     assert {
         "fleet-detect",
-        "fleet-detect-fused",
         "fleet-detect-scale",
         "fleet-detect-noise",
         "fleet-detect-chaos",
@@ -51,11 +55,17 @@ def contract_cache(tmp_path_factory):
     return str(tmp_path_factory.mktemp("contract_cache"))
 
 
-def run_driver(scenario, backend, cache, out, workdir, mode, hash_seed):
+@pytest.fixture(scope="session")
+def full_runs():
+    """Uninterrupted-run JSONL per scenario, shared by its resumes."""
+    return {}
+
+
+def run_driver(scenario, stamp, cache, out, workdir, mode, hash_seed):
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hash_seed
     subprocess.run(
-        [sys.executable, str(DRIVER), scenario, backend, cache,
+        [sys.executable, str(DRIVER), scenario, stamp, cache,
          str(out), str(workdir), mode],
         check=True,
         env=env,
@@ -64,22 +74,25 @@ def run_driver(scenario, backend, cache, out, workdir, mode, hash_seed):
     )
 
 
-@pytest.mark.parametrize("backend", ("staged", "fused"))
+@pytest.mark.parametrize("stamp", ("staged", "fused"))
 @pytest.mark.parametrize("scenario", fleet_detect_scenarios())
 def test_interrupt_resume_byte_identical(
-    scenario, backend, contract_cache, tmp_path
+    scenario, stamp, contract_cache, full_runs, tmp_path
 ):
-    full = tmp_path / "full.jsonl"
+    # one full-run seed per scenario; each resume takes another one
+    idx = hash(scenario) % len(HASH_SEEDS)
+    if scenario not in full_runs:
+        full = tmp_path / "full.jsonl"
+        run_driver(
+            scenario, "fused", contract_cache, full, tmp_path, "full",
+            HASH_SEEDS[idx],
+        )
+        full_runs[scenario] = full.read_bytes()
     resumed = tmp_path / "resumed.jsonl"
-    # different hash seeds for the two runs of every comparison
-    idx = hash((scenario, backend)) % len(HASH_SEEDS)
+    shift = 1 if stamp == "fused" else 2
     run_driver(
-        scenario, backend, contract_cache, full, tmp_path, "full",
-        HASH_SEEDS[idx],
+        scenario, stamp, contract_cache, resumed, tmp_path, "resume",
+        HASH_SEEDS[(idx + shift) % len(HASH_SEEDS)],
     )
-    run_driver(
-        scenario, backend, contract_cache, resumed, tmp_path, "resume",
-        HASH_SEEDS[(idx + 1) % len(HASH_SEEDS)],
-    )
-    assert full.read_bytes() == resumed.read_bytes()
-    assert full.stat().st_size > 0, "smoke replay should emit alerts"
+    assert full_runs[scenario] == resumed.read_bytes()
+    assert full_runs[scenario], "smoke replay should emit alerts"

@@ -1,9 +1,11 @@
-"""Golden alert-stream fixtures + cross-process backend determinism.
+"""Golden alert-stream fixtures + cross-process determinism.
 
 ``tests/golden/detect_smoke_alerts.jsonl`` freezes the byte-exact alert
-stream of ``repro detect --smoke``.  Every (PYTHONHASHSEED, backend)
-combination must reproduce it exactly in a fresh interpreter: the fused
-arena's exact mode is not allowed to drift from the staged pipeline by
+stream of ``repro detect --smoke``.  Every PYTHONHASHSEED must reproduce
+it exactly in a fresh interpreter, on the service's fused tick path and
+on the staged reference pipeline the tests keep as its oracle
+(``python -m repro.service._staged_reference`` runs the same CLI on
+it): the fused arena is not allowed to drift from the staged pipeline by
 a single byte, across processes, ever.  A diff here means either a real
 regression or an intentional output change — in the latter case the
 fixture is regenerated with::
@@ -25,11 +27,14 @@ SRC = HERE.parent / "src"
 GOLDEN = HERE / "golden" / "detect_smoke_alerts.jsonl"
 
 
+#: The CLI entry module per tick path.
+ENTRY = {"fused": "repro", "staged": "repro.service._staged_reference"}
+
+
 def _run_detect(alerts: Path, cache: Path, hash_seed: str, backend: str):
     subprocess.run(
         [
-            sys.executable, "-m", "repro", "detect", "--smoke",
-            "--backend", backend,
+            sys.executable, "-m", ENTRY[backend], "detect", "--smoke",
             "--alerts", str(alerts),
             "--cache-dir", str(cache),
         ],
@@ -58,8 +63,9 @@ class TestGoldenAlertStream:
         self, tmp_path, backend, hash_seed
     ):
         """The ISSUE acceptance criterion: `repro detect` output is
-        byte-identical from both backends, across hash seeds, in fresh
-        processes — and equal to the committed golden stream."""
+        byte-identical on the fused path and the staged reference,
+        across hash seeds, in fresh processes — and equal to the
+        committed golden stream."""
         alerts = tmp_path / "alerts.jsonl"
         _run_detect(alerts, tmp_path / "cache", hash_seed, backend)
         assert alerts.read_bytes() == GOLDEN.read_bytes()

@@ -17,6 +17,7 @@ from repro.service.fastreplay import (
     replay_from_store,
     slice_setup,
 )
+from repro.service._staged_reference import use_backend
 from repro.service.replay import fleet_recipes, prepare_fleet, replay
 
 REPO = Path(__file__).resolve().parents[1]
@@ -46,8 +47,10 @@ class TestByteIdentity:
     def test_full_window_matches_guarded_live(
         self, small_setup, small_store, backend
     ):
-        live = replay(small_setup, chunk=10, backend="staged", guard=True)
-        fast = replay_from_store(small_setup, small_store, backend=backend)
+        with use_backend("staged"):
+            live = replay(small_setup, chunk=10, guard=True)
+        with use_backend(backend):
+            fast = replay_from_store(small_setup, small_store)
         assert _jsonl(fast.events) == _jsonl(live.events)
         assert fast.events, "drill needs a non-empty alert stream"
         assert fast.n_windows == live.n_windows
@@ -63,8 +66,8 @@ class TestByteIdentity:
             chunk=10,
             guarded=False,
         )
-        live = replay(small_setup, chunk=10, backend="fused", guard=False)
-        fast = replay_from_store(small_setup, store, backend="fused")
+        live = replay(small_setup, chunk=10, guard=False)
+        fast = replay_from_store(small_setup, store)
         assert _jsonl(fast.events) == _jsonl(live.events)
         assert all("health" not in e for e in fast.events)
 
@@ -72,9 +75,7 @@ class TestByteIdentity:
     def test_any_live_chunk_reproduced(
         self, small_setup, small_store, live_chunk
     ):
-        live = replay(
-            small_setup, chunk=live_chunk, backend="staged", guard=True
-        )
+        live = replay(small_setup, chunk=live_chunk, guard=True)
         fast = replay_from_store(
             small_setup, small_store, live_chunk=live_chunk
         )
@@ -84,15 +85,9 @@ class TestByteIdentity:
         self, small_setup, small_store
     ):
         t0, t1 = 200, 800
-        live = replay(
-            slice_setup(small_setup, t0, t1),
-            chunk=10,
-            backend="fused",
-            guard=True,
-        )
-        fast = replay_from_store(
-            small_setup, small_store, t0=t0, t1=t1, backend="staged"
-        )
+        live = replay(slice_setup(small_setup, t0, t1), chunk=10, guard=True)
+        with use_backend("staged"):
+            fast = replay_from_store(small_setup, small_store, t0=t0, t1=t1)
         assert _jsonl(fast.events) == _jsonl(live.events)
         assert fast.window_accuracy == live.window_accuracy
 
@@ -151,6 +146,18 @@ class TestLineageAndValidation:
         assert outcome.n_events > 0
 
 
+    def test_retired_knobs_accept_only_pinned_values(
+        self, small_setup, small_store
+    ):
+        live = replay_from_store(
+            small_setup, small_store, backend="fused", shards=1
+        )
+        assert live.events
+        for bad in ({"backend": "staged"}, {"shards": 2}):
+            with pytest.raises(ValueError):
+                replay_from_store(small_setup, small_store, **bad)
+
+
 class TestOutOfCore:
     def test_scan_memory_bounded_by_partition(self, tmp_path):
         """Scanning a store much larger than one partition allocates on
@@ -180,15 +187,14 @@ class TestOutOfCore:
 
 
 class TestCliDeterminism:
-    """`repro detect --from-store` byte-identity across processes,
-    backends and hash seeds — the PR 6/7 determinism contract extended
-    to the store path."""
+    """`repro detect --from-store` byte-identity across processes and
+    hash seeds — the live-detect determinism contract extended to the
+    store path."""
 
-    def _detect(self, alerts, cache, store, *, hash_seed, backend, extra=()):
+    def _detect(self, alerts, cache, store, *, hash_seed, extra=()):
         cmd = [
             sys.executable, "-m", "repro", "detect", "--smoke",
-            "--cache-dir", str(cache), "--alerts", str(alerts),
-            "--backend", backend, *extra,
+            "--cache-dir", str(cache), "--alerts", str(alerts), *extra,
         ]
         if store is not None:
             cmd += ["--from-store", str(store)]
@@ -213,15 +219,13 @@ class TestCliDeterminism:
             record, cwd=REPO, env=env, check=True, capture_output=True
         )
         live = self._detect(
-            tmp_path / "live.jsonl", cache, None,
-            hash_seed=0, backend="staged",
+            tmp_path / "live.jsonl", cache, None, hash_seed=0
         )
         runs = {
-            (backend, seed): self._detect(
-                tmp_path / f"{backend}-{seed}.jsonl", cache,
-                tmp_path / "store", hash_seed=seed, backend=backend,
+            seed: self._detect(
+                tmp_path / f"store-{seed}.jsonl", cache,
+                tmp_path / "store", hash_seed=seed,
             )
-            for backend in ("staged", "fused")
             for seed in (0, 31337)
         }
         assert live  # non-empty stream

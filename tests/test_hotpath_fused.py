@@ -3,7 +3,8 @@
 The :class:`~repro.engine.hotpath.TickArena` contract: in ``exact`` mode
 every signature, label and confidence — and therefore every alert
 event — is **bit-identical** to the staged
-``FleetIngest → signature_features → forest`` pipeline, under uniform
+``FleetIngest → signature_features → forest`` pipeline kept in
+``repro.service._staged_reference``, under uniform
 bursts, ragged bursts, missing nodes and sub-chunk splitting alike; and
 a steady-state tick retains zero new numpy memory.
 """
@@ -15,7 +16,12 @@ import numpy as np
 import pytest
 
 from repro.engine.hotpath import SIGNATURE_MODES, TickArena
-from repro.service.detector import BACKENDS, FleetFaultDetector
+from repro.service._staged_reference import (
+    StagedFleetFaultDetector,
+    use_backend,
+)
+from repro.service.api import ServiceConfig
+from repro.service.detector import FleetFaultDetector
 from repro.service.replay import fleet_recipes, prepare_fleet, replay
 
 
@@ -98,29 +104,29 @@ class TestExactBitEquality:
                 assert a.tobytes() == b.tobytes()
 
     def test_replay_events_identical_to_staged(self, small_setup):
-        staged = replay(small_setup, chunk=200, backend="staged")
-        fused = replay(small_setup, chunk=200, backend="fused")
+        with use_backend("staged"):
+            staged = replay(small_setup, chunk=200)
+        fused = replay(small_setup, chunk=200)
         assert fused.events == staged.events
         assert fused.n_windows == staged.n_windows
         assert len(staged.events) > 0
 
     def test_serving_chunk_events_identical(self, small_setup):
         """Small serving bursts split windows across many ticks."""
-        staged = replay(small_setup, chunk=10, backend="staged")
-        fused = replay(small_setup, chunk=10, backend="fused")
+        with use_backend("staged"):
+            staged = replay(small_setup, chunk=10)
+        fused = replay(small_setup, chunk=10)
         assert fused.events == staged.events
 
 
 class TestReducedPrecisionModes:
     @pytest.mark.parametrize("mode", ["float32", "quantized"])
     def test_mode_runs_and_mostly_agrees(self, small_setup, mode):
-        exact = replay(small_setup, chunk=200, backend="fused")
-        reduced = replay(small_setup, chunk=200, backend="fused", mode=mode)
+        exact = replay(small_setup, chunk=200)
+        reduced = replay(small_setup, chunk=200, mode=mode)
         assert reduced.n_windows == exact.n_windows
-        det_e = FleetFaultDetector(small_setup.trained, backend="fused")
-        det_r = FleetFaultDetector(
-            small_setup.trained, backend="fused", mode=mode
-        )
+        det_e = FleetFaultDetector(small_setup.trained)
+        det_r = FleetFaultDetector(small_setup.trained, mode=mode)
         for det in (det_e, det_r):
             for lo in range(0, 600, 60):
                 det.process_block(
@@ -159,17 +165,18 @@ class TestReducedPrecisionModes:
                 assert np.all((sig.real >= 0.0) & (sig.real <= 1.0))
 
     def test_staged_backend_rejects_reduced_modes(self, small_setup):
-        with pytest.raises(ValueError, match="require backend='fused'"):
-            FleetFaultDetector(small_setup.trained, mode="float32")
+        with pytest.raises(ValueError, match="exact signatures only"):
+            StagedFleetFaultDetector(small_setup.trained, mode="float32")
 
     def test_unknown_backend_and_mode_raise(self, small_setup):
-        with pytest.raises(ValueError, match="unknown backend"):
-            FleetFaultDetector(small_setup.trained, backend="turbo")
+        # fused is the only tick path: the retired knob pins its value
+        for bad in ("staged", "turbo"):
+            with pytest.raises(ValueError, match="backend must be 'fused'"):
+                ServiceConfig(backend=bad)
+        with pytest.raises(TypeError):
+            FleetFaultDetector(small_setup.trained, backend="fused")
         with pytest.raises(ValueError, match="unknown signature mode"):
-            FleetFaultDetector(
-                small_setup.trained, backend="fused", mode="float16"
-            )
-        assert BACKENDS == ("staged", "fused")
+            FleetFaultDetector(small_setup.trained, mode="float16")
         assert SIGNATURE_MODES == ("exact", "float32", "quantized")
 
 
@@ -178,7 +185,7 @@ class TestMemory:
         reports = {}
         for mode in SIGNATURE_MODES:
             det = FleetFaultDetector(
-                small_setup.trained, backend="fused", mode=mode
+                small_setup.trained, mode=mode
             )
             rep = det.memory_report()
             assert rep["mode"] == mode
@@ -198,9 +205,6 @@ class TestMemory:
             reports["float32"]["state_bytes"]
             < reports["exact"]["state_bytes"]
         )
-        staged = FleetFaultDetector(small_setup.trained)
-        with pytest.raises(ValueError, match="backend='fused'"):
-            staged.memory_report()
 
     def test_steady_state_tick_retains_no_memory(self, small_setup):
         """The tracemalloc regression gate on the zero-allocation claim:
@@ -208,7 +212,6 @@ class TestMemory:
         single leaked column buffer would be tens of kilobytes here)."""
         detector = FleetFaultDetector(
             small_setup.trained,
-            backend="fused",
             record_history=False,
             max_chunk=50,
         )

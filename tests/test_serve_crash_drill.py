@@ -5,9 +5,11 @@ process with a WAL and networked checkpoints is SIGKILLed mid-stream
 — no atexit, no flush, no warning — restarted with the same flags, fed
 by a resuming client, and its final alert JSONL is byte-identical to
 an uninterrupted in-process replay.  Parametrized across
-``PYTHONHASHSEED`` values and both tick-path backends, because hash
-randomization and the fused arena are exactly where hidden
-iteration-order or buffering nondeterminism would surface.
+``PYTHONHASHSEED`` values and across the fused tick path and the staged
+reference pipeline (``python -m repro.service._staged_reference`` runs
+the same CLI on it), because hash randomization and the fused arena are
+exactly where hidden iteration-order or buffering nondeterminism would
+surface.
 """
 
 import os
@@ -26,6 +28,8 @@ from repro.service.net import loadgen
 ROOT = Path(__file__).resolve().parent.parent
 CFG = ServiceConfig.smoke()
 KILL_AFTER_TICKS = 3
+#: The CLI entry module per tick path.
+ENTRY = {"fused": "repro", "staged": "repro.service._staged_reference"}
 
 
 @pytest.fixture(scope="module")
@@ -53,11 +57,9 @@ def _serve_cmd(tmp: Path, backend: str, *extra: str) -> list:
     return [
         sys.executable,
         "-m",
-        "repro",
+        ENTRY[backend],
         "serve",
         "--smoke",
-        "--backend",
-        backend,
         "--listen",
         "127.0.0.1:0",
         "--port-file",

@@ -1,8 +1,9 @@
 """Unit + equivalence tests for the online detection service layers.
 
-Covers sharded ingestion (bit-parity with the offline fleet transform),
-the threshold + hysteresis alert policy state machine, fleet training,
-and the batched detector's equivalence with the naive per-node loop.
+Covers the staged reference's per-node ingestion (bit-parity with the
+offline fleet transform), the threshold + hysteresis alert policy state
+machine, fleet training, and the detector's equivalence with the naive
+per-node loop.
 """
 
 import numpy as np
@@ -12,8 +13,8 @@ from repro.analysis.rootcause import explain_difference, findings_payload
 from repro.ml.forest import RandomForestClassifier
 from repro.service.alerts import AlertPolicy, event_line
 from repro.service.classify import train_fleet
-from repro.service.detector import FleetFaultDetector, detect_naive
-from repro.service.ingest import FleetIngest, shard_of
+from repro.service._staged_reference import FleetIngest, detect_naive
+from repro.service.detector import FleetFaultDetector
 from repro.service.replay import fleet_recipes, node_path, prepare_fleet, replay
 
 
@@ -58,21 +59,6 @@ class TestFleetIngest:
             np.testing.assert_array_equal(
                 np.concatenate(parts[path]), whole[path]
             )
-
-    def test_sharded_ingestion_is_bit_identical(self, small_setup):
-        engine = small_setup.trained.engine
-        plain = FleetIngest(engine).push_blocks(small_setup.eval_data)
-        sharded = FleetIngest(engine, shards=3).push_blocks(
-            small_setup.eval_data
-        )
-        assert sorted(plain) == sorted(sharded)
-        for path in plain:
-            np.testing.assert_array_equal(plain[path], sharded[path])
-
-    def test_shard_assignment_is_stable(self):
-        assert shard_of("rack0/node00", 4) == shard_of("rack0/node00", 4)
-        with pytest.raises(ValueError):
-            shard_of("rack0/node00", 0)
 
     def test_unknown_path_raises(self, small_setup):
         ingest = FleetIngest(small_setup.trained.engine)
@@ -197,11 +183,6 @@ class TestDetectorEquivalence:
         assert sorted(outcome.events, key=_event_key) == sorted(
             naive, key=_event_key
         )
-
-    def test_sharded_detector_equals_default(self, small_setup):
-        plain = replay(small_setup, chunk=200)
-        sharded = replay(small_setup, chunk=200, shards=2)
-        assert plain.events == sharded.events
 
     def test_history_and_window_counts(self, small_setup):
         detector = FleetFaultDetector(small_setup.trained)

@@ -1,7 +1,6 @@
-"""Facade tests: ServiceConfig, the legacy-kwarg adapter, fleet
-replication, the repro-alerts/v1 canonical payload, and the graceful
-SIGINT path (finish the in-flight tick, flush open alerts, write a
-final checkpoint, exit 130)."""
+"""Facade tests: ServiceConfig, fleet replication, the repro-alerts/v1
+canonical payload, and the graceful SIGINT path (finish the in-flight
+tick, flush open alerts, write a final checkpoint, exit 130)."""
 
 import json
 import os
@@ -22,7 +21,6 @@ from repro.service.api import (
     ServiceConfig,
     build_detector,
     build_setup,
-    config_from_kwargs,
     replay,
     replicate_setup,
 )
@@ -44,7 +42,8 @@ class TestServiceConfig:
         for knob, value in SERVICE_DEFAULTS.items():
             assert getattr(config, knob) == value
         assert config.guard is True
-        assert config.backend == "staged"
+        assert config.backend == "fused"
+        assert config.shards is None
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
@@ -62,11 +61,36 @@ class TestServiceConfig:
             {"backend": "gpu"},
             {"mode": "approximate"},
             {"replicate": -1},
+            {"top_blocks": 0},
+            {"trees": 0},
+            {"backend": "staged"},
+            {"shards": 2},
         ],
     )
     def test_validation(self, bad):
         with pytest.raises(ValueError):
             ServiceConfig(**bad)
+
+    @pytest.mark.parametrize("flag", ["--top-blocks", "--trees"])
+    def test_cli_rejects_zero_before_training(self, tmp_path, flag):
+        """A zero attribution depth or forest size fails at config time:
+        no fleet is generated or trained and no alerts file is left."""
+        from repro import cli
+
+        alerts = tmp_path / "alerts.jsonl"
+        with pytest.raises(ValueError, match=flag[2:].replace("-", "_")):
+            cli.main(["detect", "--smoke", flag, "0",
+                      "--alerts", str(alerts),
+                      "--cache-dir", str(tmp_path / "cache")])
+        assert not alerts.exists()
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize("flag", ["--backend", "--shards"])
+    def test_cli_has_no_retired_tick_path_flags(self, flag):
+        from repro import cli
+
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["detect", "--smoke", flag, "1"])
 
     def test_smoke_preset_matches_cli(self):
         smoke = ServiceConfig.smoke()
@@ -89,22 +113,6 @@ class TestServiceConfig:
     def test_noise_seed_convention(self):
         assert ServiceConfig().noise_seed == 0
         assert ServiceConfig(noise_std=0.05).noise_seed == 11
-
-
-class TestLegacyAdapter:
-    def test_warns_and_maps_old_spellings(self):
-        with pytest.warns(DeprecationWarning):
-            config = config_from_kwargs(
-                nodes=2, t=2500, model="fleet.npz", no_guard=True
-            )
-        assert config.model_path == "fleet.npz"
-        assert config.guard is False
-        assert config.nodes == 2
-
-    def test_unknown_kwarg_is_typed_error(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="window_len"):
-                config_from_kwargs(window_len=30)
 
 
 class TestReplicateSetup:

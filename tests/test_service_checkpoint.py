@@ -1,8 +1,10 @@
 """Checkpoint/restore: byte-identity round trips and typed mismatches.
 
 The contract: crash -> restore -> replay-the-remaining-ticks produces an
-event stream identical to an uninterrupted run — across both backends in
-exact mode, in either direction.  Anything a checkpoint cannot honestly
+event stream identical to an uninterrupted run — on the fused tick path
+and on the staged reference, whose exact-mode checkpoints move between
+the two in either direction, and from archives whose manifest still
+says ``"backend": "staged"``.  Anything a checkpoint cannot honestly
 resume (different fleet lineage, geometry, knobs, signature mode, a
 corrupt archive) is a :class:`CheckpointError` naming the offending
 field — never silent drift, never a raw traceback.
@@ -12,12 +14,13 @@ import numpy as np
 import pytest
 
 from repro.service.alerts import JSONLAlertSink
-from repro.service.chaos import ChaosConfig, run_with_kills
+from repro.service.chaos import run_with_kills
 from repro.service.checkpoint import (
     CheckpointError,
     fleet_fingerprint,
     load_checkpoint,
 )
+from repro.service._staged_reference import stamp_legacy_backend, use_backend
 from repro.service.replay import fleet_recipes, prepare_fleet, replay
 
 BACKENDS = ("staged", "fused")
@@ -40,16 +43,17 @@ def other_setup():
 class TestRoundTrip:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_interrupt_resume_identical(self, small_setup, tmp_path, backend):
-        full = replay(small_setup, chunk=200, guard=True, backend=backend)
         ck = tmp_path / "ck.npz"
-        replay(
-            small_setup, chunk=200, guard=True, backend=backend,
-            checkpoint_path=ck, checkpoint_every=1, stop_after=4,
-        )
-        resumed = replay(
-            small_setup, chunk=200, guard=True, backend=backend,
-            checkpoint_path=ck, checkpoint_every=1, resume=True,
-        )
+        with use_backend(backend):
+            full = replay(small_setup, chunk=200, guard=True)
+            replay(
+                small_setup, chunk=200, guard=True,
+                checkpoint_path=ck, checkpoint_every=1, stop_after=4,
+            )
+            resumed = replay(
+                small_setup, chunk=200, guard=True,
+                checkpoint_path=ck, checkpoint_every=1, resume=True,
+            )
         assert resumed.events == full.events
         assert resumed.n_alerts == full.n_alerts
         assert resumed.n_windows == full.n_windows
@@ -61,18 +65,50 @@ class TestRoundTrip:
     def test_cross_backend_exact_resume(
         self, small_setup, tmp_path, save_backend, load_backend
     ):
-        """Exact-mode checkpoints move freely between backends."""
+        """Exact-mode checkpoints move freely between the fused path
+        and the staged reference (one stream-state layout)."""
         full = replay(small_setup, chunk=200, guard=True)
         ck = tmp_path / "cross.npz"
-        replay(
-            small_setup, chunk=200, guard=True, backend=save_backend,
-            checkpoint_path=ck, checkpoint_every=1, stop_after=3,
-        )
-        resumed = replay(
-            small_setup, chunk=200, guard=True, backend=load_backend,
-            checkpoint_path=ck, resume=True,
-        )
+        with use_backend(save_backend):
+            replay(
+                small_setup, chunk=200, guard=True,
+                checkpoint_path=ck, checkpoint_every=1, stop_after=3,
+            )
+        with use_backend(load_backend):
+            resumed = replay(
+                small_setup, chunk=200, guard=True,
+                checkpoint_path=ck, resume=True,
+            )
         assert resumed.events == full.events
+
+    @pytest.mark.parametrize("stamp", BACKENDS)
+    def test_legacy_backend_stamp_resumes_byte_identical(
+        self, small_setup, tmp_path, stamp
+    ):
+        """Archives whose manifest says ``"backend": "staged"`` (every
+        default checkpoint written before the single tick path) or
+        ``"fused"`` resume to byte-identical alert JSONL."""
+        full_path = tmp_path / "full.jsonl"
+        replay(
+            small_setup, chunk=200, guard=True,
+            sinks=[JSONLAlertSink(full_path)],
+        )
+        ck = tmp_path / "legacy.npz"
+        seg_path = tmp_path / "segmented.jsonl"
+        replay(
+            small_setup, chunk=200, guard=True,
+            checkpoint_path=ck, checkpoint_every=1, stop_after=4,
+            sinks=[JSONLAlertSink(seg_path)],
+        )
+        assert load_checkpoint(ck).manifest["backend"] == "fused"
+        stamp_legacy_backend(ck, stamp)
+        assert load_checkpoint(ck).manifest["backend"] == stamp
+        replay(
+            small_setup, chunk=200, guard=True,
+            checkpoint_path=ck, resume=True,
+            sinks=[JSONLAlertSink(seg_path)],
+        )
+        assert seg_path.read_bytes() == full_path.read_bytes()
 
     def test_resume_reemits_prefix_into_sinks(self, small_setup, tmp_path):
         full_path = tmp_path / "full.jsonl"
@@ -162,21 +198,21 @@ class TestTypedMismatches:
 
     @pytest.mark.parametrize("mode", ("float32", "quantized"))
     def test_non_exact_cross_mode_rejected(self, small_setup, tmp_path, mode):
-        """Staged (exact) checkpoint -> fused float32/quantized resume is a
-        typed incompatibility, never silent drift."""
+        """Exact checkpoint -> float32/quantized resume is a typed
+        incompatibility, never silent drift — also when the manifest
+        carries the legacy ``"staged"`` stamp."""
         ck = self._checkpoint(small_setup, tmp_path)
-        err = self._resume_error(
-            small_setup, ck, chunk=200, backend="fused", mode=mode
-        )
+        err = self._resume_error(small_setup, ck, chunk=200, mode=mode)
+        assert err.field == "mode"
+        stamp_legacy_backend(ck, "staged")
+        err = self._resume_error(small_setup, ck, chunk=200, mode=mode)
         assert err.field == "mode"
 
     @pytest.mark.parametrize("mode", ("float32", "quantized"))
     def test_non_exact_checkpoint_rejected_by_exact_resume(
         self, small_setup, tmp_path, mode
     ):
-        ck = self._checkpoint(
-            small_setup, tmp_path, backend="fused", mode=mode
-        )
+        ck = self._checkpoint(small_setup, tmp_path, mode=mode)
         err = self._resume_error(small_setup, ck, chunk=200)
         assert err.field == "mode"
 
@@ -184,15 +220,11 @@ class TestTypedMismatches:
     def test_non_exact_same_mode_resume_allowed(
         self, small_setup, tmp_path, mode
     ):
-        """Same backend + same mode resumes fine even off-exact."""
-        full = replay(
-            small_setup, chunk=200, guard=True, backend="fused", mode=mode
-        )
-        ck = self._checkpoint(
-            small_setup, tmp_path, backend="fused", mode=mode
-        )
+        """Same mode resumes fine even off-exact."""
+        full = replay(small_setup, chunk=200, guard=True, mode=mode)
+        ck = self._checkpoint(small_setup, tmp_path, mode=mode)
         resumed = replay(
-            small_setup, chunk=200, guard=True, backend="fused", mode=mode,
+            small_setup, chunk=200, guard=True, mode=mode,
             checkpoint_path=ck, resume=True,
         )
         assert resumed.events == full.events

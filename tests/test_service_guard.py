@@ -2,9 +2,10 @@
 
 The acceptance property of the guard layer: every fault class maps to
 its documented degradation policy — quarantine/coalesce/reject/recover —
-and **no unhandled exception ever escapes** ``process_block``, on either
-backend.  Clean input must pass through bit-unchanged: a guarded replay
-minus its guard bookkeeping equals the unguarded replay.
+and **no unhandled exception ever escapes** ``process_block``, around
+the production detector and around the staged reference alike.  Clean
+input must pass through bit-unchanged: a guarded replay minus its guard
+bookkeeping equals the unguarded replay.
 """
 
 import numpy as np
@@ -12,14 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.service._staged_reference import (
+    StagedFleetFaultDetector,
+    use_backend,
+)
 from repro.service.detector import FleetFaultDetector
 from repro.service.guard import (
-    FAULT_CLASSES,
     HEALTH_STATES,
     GuardConfig,
     GuardedDetector,
 )
-from repro.service.ingest import shard_of
 from repro.service.replay import fleet_recipes, prepare_fleet, replay
 
 BACKENDS = ("staged", "fused")
@@ -32,8 +35,11 @@ def small_setup():
     )
 
 
-def make_guarded(small_setup, backend="staged", **config):
-    detector = FleetFaultDetector(small_setup.trained, backend=backend)
+DETECTORS = {"staged": StagedFleetFaultDetector, "fused": FleetFaultDetector}
+
+
+def make_guarded(small_setup, backend="fused", **config):
+    detector = DETECTORS[backend](small_setup.trained)
     cfg = GuardConfig(**config) if config else None
     return GuardedDetector(detector, config=cfg)
 
@@ -198,9 +204,7 @@ class TestHealthLifecycle:
         b[paths[0]] = np.full_like(b[paths[0]], np.nan)
         g.process_block(b, tick=0)
         payload = g.fleet_health()
-        assert set(payload) == {
-            "tick", "nodes", "states", "shards", "unknown_nodes",
-        }
+        assert set(payload) == {"tick", "nodes", "states", "unknown_nodes"}
         assert sorted(payload["nodes"]) == paths
         assert payload["states"]["degraded"] == 1
         assert sum(payload["states"].values()) == len(paths)
@@ -208,10 +212,6 @@ class TestHealthLifecycle:
         assert node["state"] == "degraded"
         assert node["fault_counts"] == {"corrupt-values": 1}
         assert node["dropped_blocks"] == 1
-        # shard rollup reports each shard's worst node
-        shard = str(shard_of(paths[0], g.shards))
-        assert payload["shards"][shard] == "degraded"
-        assert all(s in HEALTH_STATES for s in payload["shards"].values())
 
     def test_alert_events_carry_health(self, small_setup):
         out = replay(small_setup, chunk=200, guard=True)
@@ -242,8 +242,9 @@ class TestGuardEquivalence:
     def test_clean_replay_identical_minus_bookkeeping(
         self, small_setup, backend
     ):
-        plain = replay(small_setup, chunk=200, backend=backend)
-        guarded = replay(small_setup, chunk=200, backend=backend, guard=True)
+        with use_backend(backend):
+            plain = replay(small_setup, chunk=200)
+            guarded = replay(small_setup, chunk=200, guard=True)
         stripped = [
             {k: v for k, v in e.items() if k != "health"}
             for e in guarded.events
@@ -263,37 +264,14 @@ class TestGuardEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Property: sharding and registration order never change results
+# Property: burst key order never changes results
 # ----------------------------------------------------------------------
-class TestShardInvariance:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        perm=st.permutations(list(range(6))),
-        shards=st.integers(1, 16),
-    )
-    def test_shard_assignment_ignores_registration_order(self, perm, shards):
-        paths = [f"rack{i // 2}/node{i:02d}" for i in range(6)]
-        baseline = {p: shard_of(p, shards) for p in paths}
-        shuffled = {paths[i]: shard_of(paths[i], shards) for i in perm}
-        assert shuffled == baseline
-        assert all(0 <= s < shards for s in baseline.values())
-
-    @pytest.mark.parametrize("shards", (1, 2, 3, 5))
-    def test_alert_stream_invariant_under_shard_count(
-        self, small_setup, shards
-    ):
-        baseline = replay(small_setup, chunk=200, guard=True)
-        sharded = replay(small_setup, chunk=200, guard=True, shards=shards)
-        assert sharded.events == baseline.events
-
+class TestBurstOrderInvariance:
     @settings(max_examples=10, deadline=None)
-    @given(perm=st.permutations(list(range(2))), shards=st.integers(1, 8))
-    def test_burst_key_order_never_changes_events(
-        self, small_setup, perm, shards
-    ):
+    @given(perm=st.permutations(list(range(2))))
+    def test_burst_key_order_never_changes_events(self, small_setup, perm):
         """Delivering the burst dict in any key order is equivalent."""
-        detector = FleetFaultDetector(small_setup.trained, shards=shards)
-        g = GuardedDetector(detector)
+        g = GuardedDetector(FleetFaultDetector(small_setup.trained))
         paths = sorted(small_setup.eval_data)
         reordered = {
             paths[i]: small_setup.eval_data[paths[i]][:, :200] for i in perm
