@@ -38,6 +38,16 @@ python -m repro detect --smoke --cache-dir "$SMOKE_DIR/cache" \
     --alerts "$SMOKE_DIR/live.jsonl"
 cmp "$GOLDEN" "$SMOKE_DIR/live.jsonl"
 
+echo "== serving-cadence cross-check: tick arena vs staged reference =="
+# The golden run above feeds 200-sample bursts.  At the 30-sample
+# serving burst the production tick arena and the test-only staged
+# reference must still emit byte-identical alerts.
+python -m repro detect --smoke --chunk 30 --cache-dir "$SMOKE_DIR/cache" \
+    --alerts "$SMOKE_DIR/fused30.jsonl"
+python -m repro.service._staged_reference detect --smoke --chunk 30 \
+    --cache-dir "$SMOKE_DIR/cache" --alerts "$SMOKE_DIR/staged30.jsonl"
+cmp "$SMOKE_DIR/fused30.jsonl" "$SMOKE_DIR/staged30.jsonl"
+
 echo "== crash-recovery smoke: kill, resume, byte-identical alerts =="
 # Twice, so a flaky pass can't hide: interrupt the guarded replay at
 # tick 3 with per-tick checkpoints, resume from the snapshot, and the

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.blocks import block_sensor_map
 from repro.core.model import CSModel
 
 __all__ = [
@@ -40,8 +39,7 @@ def block_sensors(model: CSModel, l: int, block: int) -> tuple[str, ...]:
         raise ValueError("CS model carries no sensor names")
     if not 0 <= block < l:
         raise ValueError(f"block must be in [0, {l}), got {block}")
-    rows = block_sensor_map(model.n_sensors, l, model.permutation)[block]
-    return tuple(model.sensor_names[i] for i in rows)
+    return model.block_names(l)[block]
 
 
 @dataclass(frozen=True)

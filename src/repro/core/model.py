@@ -52,6 +52,9 @@ class CSModel:
     upper: np.ndarray
     sensor_names: tuple[str, ...] | None = None
     _inverse: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _block_names: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.permutation = np.asarray(self.permutation, dtype=np.intp)
@@ -98,6 +101,33 @@ class CSModel:
         if self.sensor_names is None:
             return None
         return tuple(self.sensor_names[i] for i in self.permutation)
+
+    def block_names(self, l: int) -> tuple[tuple[str, ...], ...]:
+        """Names of the raw sensors feeding each of ``l`` signature blocks.
+
+        Root-cause attribution asks for them on every alert, so each
+        ``l``'s table is built once and kept on the model; it is rebuilt
+        if ``permutation`` or ``sensor_names`` has been reassigned since.
+        Requires sensor names.
+        """
+        hit = self._block_names.get(l)
+        if (
+            hit is not None
+            and hit[0] is self.permutation
+            and hit[1] is self.sensor_names
+        ):
+            return hit[2]
+        # Imported here: repro.core.blocks imports repro.engine, whose
+        # streaming module imports this one.
+        from repro.core.blocks import block_sensor_map
+
+        names = self.sensor_names
+        table = tuple(
+            tuple(names[i] for i in rows)
+            for rows in block_sensor_map(self.n_sensors, l, self.permutation)
+        )
+        self._block_names[l] = (self.permutation, names, table)
+        return table
 
     # ------------------------------------------------------------------
     # Persistence

@@ -10,13 +10,22 @@ nodes and bursts shrink to serving size.
 
 :class:`TickArena` is the service's only tick path: every buffer the
 tick path touches is preallocated once at construction (sized by the
-fleet's geometry and the maximum burst length), and a steady-state tick
-runs the whole pass — gather/sort, min-max normalize, running prefix sums,
-windowed value/derivative means, block reduction, feature layout and the
-lockstep forest walk — through ``out=`` kernels into those arenas.  A
-steady-state tick retains **zero** new numpy memory (asserted by a
-tracemalloc regression test) and its transient peak is bounded by a few
-index temporaries instead of a staged pipeline's per-stage matrices.
+fleet's geometry and the ring length), and a steady-state tick runs the
+whole pass — gather, min-max normalize, running prefix sums, windowed
+value/derivative means, CS permutation, block reduction, feature layout
+and the lockstep forest walk — through ``out=`` kernels into those
+arenas.  A steady-state tick retains **zero** new numpy memory (asserted
+by a tracemalloc regression test) and its transient peak is bounded by a
+few index temporaries instead of a staged pipeline's per-stage matrices.
+
+State layout: each geometry group keeps its ring *time-outer and in
+model sensor order*, ``(wl + 1, c, n)``, so one sample of the whole
+group is a contiguous ``(c, n)`` plane.  The gather is a plain
+transposed copy per node, normalization and the running sum sweep whole
+planes, and the CS permutation — which only the block reduction needs —
+is applied once per tick to the ``k`` emitted window rows.  One kernel
+serves every burst length and every mode: bursts longer than the ring
+are split into ring-sized sub-bursts, which is output-identical.
 
 Exactness contract: in the default ``exact`` mode every floating-point
 operation replays :class:`~repro.engine.streaming.IncrementalSignatureCore`
@@ -64,13 +73,14 @@ _LEAF = -1
 _F32_REANCHOR_INTERVAL = 1 << 12
 
 
-def _emits_between(t0: int, total: int, wl: int, ws: int) -> int:
+def _emit_plan(t0: int, total: int, wl: int, ws: int) -> tuple[int, int]:
     """Signatures due while the sample count grows from ``t0`` to
     ``total`` — the closed form of ``WindowPlan.emits_at`` over
-    ``count = wl + k*ws`` with ``t0 < count <= total``."""
+    ``count = wl + k*ws`` with ``t0 < count <= total`` — as ``(k_lo,
+    k)``: the first window index and the number of windows."""
     k_lo = max(0, -(-(t0 + 1 - wl) // ws))
     k_hi = (total - wl) // ws
-    return max(0, k_hi - k_lo + 1)
+    return k_lo, max(0, k_hi - k_lo + 1)
 
 
 class _ForestWorkspace:
@@ -232,9 +242,20 @@ class _ForestWorkspace:
 class _GroupState:
     """Arena of one geometry group: all nodes sharing a sensor count.
 
-    State is stacked column-major ``(c, n, ...)`` — node, sensor row,
-    time — the same shape ``IncrementalSignatureCore._absorb`` works
-    in, so every kernel below is the batched twin of one of its lines.
+    State is *time-outer and in model sensor order*.  The ring is
+    ``(wl + 1, c, n)`` — time slot, node, sensor row — and every
+    per-sensor vector (running sum, pending snapshots, normalization
+    bounds) is a ``(c, n)`` plane, all in the CS model's original row
+    order (the order ``CSModel.lower``/``upper`` are kept in).  A burst
+    therefore lands as whole contiguous planes: the gather is a plain
+    transposed copy per node, normalization broadcasts the bounds over
+    full planes and the running sum is one plane add per sample (one
+    node of a degraded group stages its burst and runs one cumsum
+    instead).  Those steps are all elementwise per sensor, so the row
+    order changes no bit.  The CS permutation matters only to the block
+    reduction, where ``_emit`` applies it once to the emitted window
+    rows: ``perm`` holds, per node and sorted row, a flat index into a
+    ``(c, n)`` plane.
     """
 
     def __init__(self, paths, models, l, wl, ws, max_m, dtype):
@@ -244,33 +265,33 @@ class _GroupState:
         self.c, self.n, self.l = c, n, int(l)
         self.wl, self.ws = int(wl), int(ws)
         self.size = self.wl + 1
-        self.max_m = int(max_m)
+        #: Longest sub-burst the kernel takes: every column of it owns a
+        #: distinct ring slot.
+        self.chunk = min(int(max_m), self.size)
         self.dtype = dtype
         self.bstarts, self.bends = partition_bounds(n, self.l)
         self.widths = (self.bends - self.bstarts).astype(np.float64)
         if dtype != np.float64:
             self.widths = self.widths.astype(dtype)
-        # Per-node model parameters, permuted row order (cf.
-        # IncrementalSignatureCore.__init__).
+        # Per-node model parameters (cf. IncrementalSignatureCore.__init__,
+        # which keeps the same bounds in permuted row order).
         self.perm = np.empty((c, n), dtype=np.intp)
-        self.lower = np.empty((c, n, 1), dtype=dtype)
-        span = np.empty((c, n), dtype=np.float64)
+        lower = np.empty((c, n))
+        upper = np.empty((c, n))
         for j, model in enumerate(models):
-            perm = model.permutation
-            self.perm[j] = perm
-            lo = model.lower[perm]
-            self.lower[j, :, 0] = lo
-            span[j] = model.upper[perm] - lo
-        degenerate = span <= 0.0
-        self.deg_mask = degenerate[:, :, None]
-        self.deg_any = bool(degenerate.any())
-        self.span = np.where(degenerate, 1.0, span).astype(dtype)[:, :, None]
-        # Retained per-node streaming state.  The ring stores the last
-        # ``wl + 1`` normalized columns at position ``t % size`` (the
-        # streaming core's layout): a tick writes only its new columns and
-        # derivative references read single columns — no chronological
-        # tail is ever materialized.
-        self.ring = np.zeros((c, n, self.size), dtype=dtype)
+            self.perm[j] = model.permutation + j * n
+            lower[j] = model.lower
+            upper[j] = model.upper
+        span = upper - lower
+        self.deg_mask = span <= 0.0
+        self.deg_any = bool(self.deg_mask.any())
+        self.lower = lower.astype(dtype)
+        self.span = np.where(self.deg_mask, 1.0, span).astype(dtype)
+        # Retained per-node streaming state.  The ring holds the last
+        # ``wl + 1`` normalized samples at slot ``t % size`` (the
+        # streaming core's ring, transposed): a tick writes only its new
+        # planes and derivative references read single planes.
+        self.ring = np.zeros((self.size, c, n), dtype=dtype)
         self.csum = np.zeros((c, n), dtype=dtype)
         self.counts = np.zeros(c, dtype=np.int64)
         self.anchors = np.zeros(c, dtype=np.int64)
@@ -278,7 +299,7 @@ class _GroupState:
         #: Snapshot ring: bounded FIFO slots for pending window starts
         #: (at most ceil(wl/ws)+1 live at once; +1 slack).
         self.P = -(-self.wl // self.ws) + 2
-        self.pending_buf = np.empty((c, self.P, n), dtype=dtype)
+        self.pending_buf = np.empty((self.P, c, n), dtype=dtype)
         #: While every node of the group has seen the same samples the
         #: FIFO is shared (one deque of (start, slot) for all c nodes);
         #: the first ragged tick splits it into per-node FIFOs for good.
@@ -287,53 +308,40 @@ class _GroupState:
         self.shared_slot = 0
         self.node_fifos: list[deque[tuple[int, int]]] | None = None
         self.node_slots: list[int] | None = None
-        # Tick scratch (content never survives a tick).
-        self.kmax = self.max_m // self.ws + 1
-        self.refsnap = np.empty((c, self.kmax, n), dtype=dtype)
-        self.seq = np.empty((c, n, self.max_m + 1), dtype=dtype)
-        self.rows = np.empty((c, self.kmax, n), dtype=dtype)
-        #: Second rows buffer for the block kernel: derivative windows
-        #: are computed *before* the in-place cumsum destroys the staged
-        #: normalized columns, so they need their own landing area.
-        self.drows = np.empty((c, self.kmax, n), dtype=dtype)
-        self.psum = np.empty((c, self.kmax, n + 1), dtype=dtype)
-        self.sig = np.empty((c, self.kmax, self.l), dtype=dtype)
-        self.sig2 = np.empty((c, self.kmax, self.l), dtype=dtype)
+        # Tick scratch (content never survives a tick): per emitted
+        # window its value row ``win[:, 0]`` and derivative row
+        # ``win[:, 1]`` in model order, their permuted copy, its prefix
+        # sums and the two block-boundary gathers.  The flat buffers are
+        # reshaped per call so a node subset stays contiguous.
+        self.kmax = self.chunk // self.ws + 1
+        self.win = np.empty((self.kmax, 2, c, n), dtype=dtype)
+        rows = 2 * self.kmax * c
+        self.prow = np.empty(rows * n, dtype=dtype)
+        self.psum = np.empty((rows, n + 1), dtype=dtype)
+        self.sig = np.empty(rows * self.l, dtype=dtype)
+        self.sig2 = np.empty(rows * self.l, dtype=dtype)
         self.base_scratch = np.empty((c, n), dtype=dtype)
-        self.stage = (
-            np.empty((n, self.max_m)) if dtype != np.float64 else None
-        )
-        #: Block-path staging for the float64 kernel, *time-major*: one
-        #: node's gathered burst ``(m, n)`` plus its prefix sums
-        #: ``(m+1, n)``.  Store planes are column-major ``(n, ticks)``,
-        #: so their transpose is C-contiguous time-major — gathers read
-        #: contiguous tick-columns, the cumsum runs down axis 0 with
-        #: SIMD across sensors, and the whole burst stays cache-resident
-        #: through normalize/derivative/window sweeps instead of five
-        #: full-group RAM passes.  ``block_rows`` is the row-major
-        #: landing pad for C-ordered (non-store) block sources.
-        if dtype == np.float64:
-            self.block_stage = np.empty((self.max_m, n))
-            self.block_psum = np.empty((self.max_m + 1, n))
-            self.block_rows = np.empty((n, self.max_m))
-        else:
-            self.block_stage = self.block_psum = self.block_rows = None
-        # Pre-fault the tick scratches: at partition-sized ``max_m`` the
-        # ``seq`` staging area alone spans tens of MB, and first-touch
-        # page faults inside the first fused burst cost an order of
-        # magnitude more than this one-time streaming fill at build time.
-        for scratch in (
-            self.pending_buf, self.refsnap, self.seq, self.rows,
-            self.drows, self.psum, self.sig, self.sig2,
-        ):
-            scratch.fill(0)
-        for opt in (
-            self.stage, self.block_stage, self.block_psum, self.block_rows,
-        ):
-            if opt is not None:
-                opt.fill(0)
+        #: One node's normalized burst and its prefix sums, time-major
+        #: (the per-node path of degraded groups).
+        self.stage = np.empty((self.chunk, n), dtype=dtype)
+        self.seq = np.empty((self.chunk + 1, n), dtype=dtype)
+        # Pre-fault the scratches: first-touch page faults inside the
+        # first fused burst cost far more than this one-time fill.
+        for scratch in self._scratches():
+            scratch.fill(0)  # psum[:, 0] stays 0 for good
+        self.pending_buf.fill(0)
         self.shared_view = _SharedFifo(self)
         self.node_views: list[_NodeFifo] | None = None
+
+    def _scratches(self):
+        return (
+            self.win, self.prow, self.psum, self.sig, self.sig2,
+            self.base_scratch, self.stage, self.seq,
+        )
+
+    def local_perm(self, i: int) -> np.ndarray:
+        """Node ``i``'s CS permutation (sorted row -> model row)."""
+        return self.perm[i] - i * self.n
 
     # -- pending FIFO views -------------------------------------------
     def degrade(self) -> None:
@@ -361,19 +369,7 @@ class _GroupState:
         )
 
     def scratch_nbytes(self) -> int:
-        total = (
-            self.refsnap.nbytes + self.seq.nbytes + self.rows.nbytes
-            + self.drows.nbytes + self.psum.nbytes + self.sig.nbytes
-            + self.sig2.nbytes + self.base_scratch.nbytes
-        )
-        if self.stage is not None:
-            total += self.stage.nbytes
-        if self.block_stage is not None:
-            total += (
-                self.block_stage.nbytes + self.block_psum.nbytes
-                + self.block_rows.nbytes
-            )
-        return total
+        return sum(b.nbytes for b in self._scratches())
 
 
 class _SharedFifo:
@@ -387,17 +383,17 @@ class _SharedFifo:
         slot = g.shared_slot
         g.shared_slot = (slot + 1) % g.P
         g.shared_fifo.append((start, slot))
-        return g.pending_buf[:, slot, :]
+        return g.pending_buf[slot]
 
     def pop(self, start: int) -> np.ndarray:
         g = self.g
         s, slot = g.shared_fifo.popleft()
         assert s == start, f"pending start {s} != expected {start}"
-        return g.pending_buf[:, slot, :]
+        return g.pending_buf[slot]
 
     def views(self):
         g = self.g
-        return [g.pending_buf[:, slot, :] for _, slot in g.shared_fifo]
+        return [g.pending_buf[slot] for _, slot in g.shared_fifo]
 
 
 class _NodeFifo:
@@ -412,17 +408,17 @@ class _NodeFifo:
         slot = g.node_slots[i]
         g.node_slots[i] = (slot + 1) % g.P
         g.node_fifos[i].append((start, slot))
-        return g.pending_buf[i : i + 1, slot, :]
+        return g.pending_buf[slot, i : i + 1]
 
     def pop(self, start: int) -> np.ndarray:
         g, i = self.g, self.i
         s, slot = g.node_fifos[i].popleft()
         assert s == start, f"pending start {s} != expected {start}"
-        return g.pending_buf[i : i + 1, slot, :]
+        return g.pending_buf[slot, i : i + 1]
 
     def views(self):
         g, i = self.g, self.i
-        return [g.pending_buf[i : i + 1, slot, :] for _, slot in g.node_fifos[i]]
+        return [g.pending_buf[slot, i : i + 1] for _, slot in g.node_fifos[i]]
 
 
 class TickArena:
@@ -442,13 +438,12 @@ class TickArena:
         ``"float32"`` or ``"quantized"`` (float32 compute + uint8-binned
         signatures).
     max_chunk:
-        Largest burst length the arenas are sized for; longer bursts are
-        split into ``max_chunk`` sub-bursts, which is output-identical
-        (``push_block`` composes exactly).  Scratch memory scales with
-        it: serving loops keep the default, the store replayer passes
-        its partition/block size so whole recorded partitions absorb in
-        one fused pass (sub-bursts beyond the ``wl + 1`` ring capacity
-        run the seq-staged block kernel — still bit-identical).
+        Longest sub-burst the kernel takes, capped at the ring's
+        ``wl + 1`` columns; longer bursts are split, which is
+        output-identical (``push_block`` composes exactly).  Window-row
+        scratch scales with the capped value, and the per-tick emit rows
+        are pre-sized for ``max_chunk``-long bursts (they grow on demand
+        either way).
     paths:
         Optional subset of the engine's nodes; defaults to all of them.
     """
@@ -494,11 +489,6 @@ class TickArena:
         by_n: dict[int, list[str]] = {}
         for p in wanted:
             by_n.setdefault(engine.model(p).n_sensors, []).append(p)
-        # Scratch is sized for full ``max_chunk`` sub-bursts: up to
-        # ``wl + 1`` columns the in-ring kernel runs (every column owns
-        # a distinct ring position), longer sub-bursts take the
-        # seq-staged block kernel — both bit-identical, so callers pick
-        # ``max_chunk`` purely as a burst-capacity/memory trade-off.
         self.groups = [
             _GroupState(
                 ps,
@@ -574,10 +564,12 @@ class TickArena:
 
         Same layout as
         :meth:`repro.engine.streaming.IncrementalSignatureCore.state_dict`
-        (the arena's per-node ring row *is* the streaming core's ring),
-        so checkpoints store it without conversion.
+        — an ``(n, wl + 1)`` ring and ``(n,)`` sums in the model's
+        permuted row order — converted from the arena's time-outer
+        model-order planes, so checkpoints store it unchanged.
         """
         g, i = self._node[path]
+        perm = g.local_perm(i)
         entries = (
             list(g.shared_fifo) if g.uniform else list(g.node_fifos[i])
         )
@@ -586,13 +578,13 @@ class TickArena:
             (s for s, _ in entries), dtype=np.int64, count=k
         )
         snaps = (
-            np.stack([g.pending_buf[i, slot].copy() for _, slot in entries])
+            np.stack([g.pending_buf[slot, i, perm] for _, slot in entries])
             if k
             else np.empty((0, g.n), dtype=g.dtype)
         )
         return {
-            "ring": g.ring[i].copy(),
-            "csum": g.csum[i].copy(),
+            "ring": np.ascontiguousarray(g.ring[:, i, perm].T),
+            "csum": g.csum[i, perm],
             "count": int(g.counts[i]),
             "emitted": int(g.emitted[i]),
             "anchor": int(g.anchors[i]),
@@ -640,32 +632,33 @@ class TickArena:
                         f"node {p!r}: {starts.shape[0]} pending snapshots "
                         f"exceed the arena's {g.P} FIFO slots"
                     )
-                g.ring[i] = ring
-                g.csum[i] = csum
+                perm = g.local_perm(i)
+                g.ring[:, i, perm] = ring.T
+                g.csum[i, perm] = csum
                 g.counts[i] = int(st["count"])
                 g.emitted[i] = int(st["emitted"])
                 g.anchors[i] = int(st["anchor"])
-                per.append((starts, snaps))
+                per.append((starts, snaps, perm))
             starts0 = per[0][0]
             uniform = g.uniform and all(
                 starts.shape == starts0.shape
                 and bool((starts == starts0).all())
-                for starts, _ in per
+                for starts, _, _ in per
             ) and len({int(g.counts[i]) for i in range(g.c)}) == 1
             g.shared_fifo.clear()
             if uniform:
                 g.shared_slot = 0
                 for k_idx, s in enumerate(starts0):
                     buf = g.shared_view.push(int(s))
-                    for i, (_, snaps) in enumerate(per):
-                        buf[i] = snaps[k_idx]
+                    for i, (_, snaps, perm) in enumerate(per):
+                        buf[i, perm] = snaps[k_idx]
             else:
                 g.degrade()
-                for i, (starts, snaps) in enumerate(per):
+                for i, (starts, snaps, perm) in enumerate(per):
                     g.node_fifos[i].clear()
                     g.node_slots[i] = 0
                     for k_idx, s in enumerate(starts):
-                        g.node_views[i].push(int(s))[0] = snaps[k_idx]
+                        g.node_views[i].push(int(s))[0, perm] = snaps[k_idx]
 
     # ------------------------------------------------------------------
     def tick(self, data: Mapping[str, np.ndarray]):
@@ -695,10 +688,10 @@ class TickArena:
         total_k = 0
         for p, B in blocks.items():
             g, i = self._node[p]
-            total_k += _emits_between(
+            total_k += _emit_plan(
                 int(g.counts[i]), int(g.counts[i]) + B.shape[1],
                 self.wl, self.ws,
-            )
+            )[1]
         self._ensure_capacity(total_k)
         assigned = self._assigned
         assigned.clear()
@@ -715,7 +708,7 @@ class TickArena:
             if g.uniform and len(present) == g.c and len(ms) == 1:
                 m = ms.pop()
                 t0 = int(g.counts[0])
-                k_tick = _emits_between(t0, t0 + m, self.wl, self.ws)
+                k_tick = _emit_plan(t0, t0 + m, self.wl, self.ws)[1]
                 for i, p in present:
                     assigned[p] = (row + i * k_tick, k_tick)
                 hi = row + g.c * k_tick
@@ -725,14 +718,16 @@ class TickArena:
                     if qfeat2 is not None
                     else None
                 )
-                fifo = g.shared_view
                 off = 0
-                for lo in range(0, m, g.max_m):
-                    B_sub = [
-                        blocks[p][:, lo : lo + g.max_m] for _, p in present
-                    ]
-                    off += self._feed(
-                        g, slice(0, g.c), fifo, B_sub, feat3, qfeat3, off
+                for lo in range(0, m, g.chunk):
+                    off += self._absorb(
+                        g,
+                        slice(0, g.c),
+                        g.shared_view,
+                        [blocks[p][:, lo : lo + g.chunk] for _, p in present],
+                        feat3,
+                        qfeat3,
+                        off,
                     )
                 row = hi
             else:
@@ -740,9 +735,9 @@ class TickArena:
                 for i, p in present:
                     B = blocks[p]
                     t0 = int(g.counts[i])
-                    k_i = _emits_between(
+                    k_i = _emit_plan(
                         t0, t0 + B.shape[1], self.wl, self.ws
-                    )
+                    )[1]
                     assigned[p] = (row, k_i)
                     hi = row + k_i
                     feat3 = feat2[row:hi].reshape(1, k_i, self.n_features)
@@ -753,12 +748,12 @@ class TickArena:
                     )
                     fifo = g.node_views[i]
                     off = 0
-                    for lo in range(0, B.shape[1], g.max_m):
-                        off += self._feed(
+                    for lo in range(0, B.shape[1], g.chunk):
+                        off += self._absorb(
                             g,
                             slice(i, i + 1),
                             fifo,
-                            [B[:, lo : lo + g.max_m]],
+                            [B[:, lo : lo + g.chunk]],
                             feat3,
                             qfeat3,
                             off,
@@ -777,433 +772,178 @@ class TickArena:
         return out
 
     # ------------------------------------------------------------------
-    def _feed(self, g, sl, fifo, node_blocks, feat3, qfeat3, off) -> int:
-        """Route one sub-burst to the right fused kernel.
-
-        Up to ``wl + 1`` columns every column owns a distinct ring slot,
-        so normalization can run in place inside the ring
-        (:meth:`_absorb` — the serving-cadence path, untouched by block
-        feeds).  Longer sub-bursts stage their normalized columns in the
-        ``seq`` scratch instead (:meth:`_absorb_block` — the store
-        replayer's whole-partition path).  Both kernels execute the same
-        floating-point operations in the same association order, so the
-        routing never changes a single output bit.
-        """
-        if node_blocks[0].shape[1] <= g.size:
-            return self._absorb(g, sl, fifo, node_blocks, feat3, qfeat3, off)
-        return self._absorb_block(g, sl, fifo, node_blocks, feat3, qfeat3, off)
-
     def _absorb(self, g, sl, fifo, node_blocks, feat3, qfeat3, off) -> int:
-        """One fused sub-burst for the nodes ``sl`` of group ``g``.
+        """One fused sub-burst of at most ``wl + 1`` columns for the nodes
+        ``sl`` of group ``g`` — the whole group while it is uniform, one
+        node of a degraded group.
 
-        The batched twin of ``IncrementalSignatureCore._absorb``: every
-        numbered step mirrors one of its operations in the same
-        floating-point association order, into preallocated buffers.
-        Returns the number of signatures emitted per node.
+        The batched twin of ``IncrementalSignatureCore._absorb`` over
+        time-outer planes: every numbered step mirrors one of its
+        operations in the same floating-point association order, into
+        preallocated buffers.  Returns the signatures emitted per node.
         """
         m = node_blocks[0].shape[1]
         t0 = int(g.counts[sl.start])
         total = t0 + m
-        size = g.size
-        # 0. Emit plan.  Derivative reference columns predating this
-        #    sub-burst live at ring positions the new columns are about
-        #    to overwrite — snapshot them first (at most kmax single
-        #    columns; ``ref >= t0 - wl`` so they are all still live).
-        k_lo = max(0, -(-(t0 + 1 - g.wl) // g.ws))
-        k_hi = (total - g.wl) // g.ws
-        k = max(0, k_hi - k_lo + 1)
-        refsnap = g.refsnap[sl]
-        for idx in range(k):
-            s = (k_lo + idx) * g.ws
+        size, wl, ws = g.size, g.wl, g.ws
+        k_lo, k = _emit_plan(t0, total, wl, ws)
+        ring = g.ring[:, sl]
+        rows, drows = g.win[:k, 0, sl], g.win[:k, 1, sl]
+        starts = range(k_lo * ws, (k_lo + k) * ws, ws)
+        # 0. Emit plan.  Window starts predating the burst pop their
+        #    snapshot from the FIFO; derivative reference columns
+        #    predating it sit in ring slots the new columns are about to
+        #    overwrite, so they are copied out first (``ref >= t0 - wl``:
+        #    all still live).  ``taps`` maps a prefix-sum index to the
+        #    planes that take a copy of it; ``ends`` to the value row it
+        #    closes.
+        taps: dict[int, list[np.ndarray]] = {}
+        ends: dict[int, np.ndarray] = {}
+        for idx, s in enumerate(starts):
             ref = s - 1 if s > 0 else s
             if ref < t0:
-                refsnap[:, idx, :] = g.ring[sl, :, ref % size]
-        # 1. Gather into sorted row order *straight into the ring* (each
-        #    column at its position ``t % size``; sub-bursts never exceed
-        #    ``size`` columns, so positions are distinct — at most two
-        #    contiguous ring slices around the wrap point) + min-max
-        #    normalize in place (the batched _normalize): subtract,
-        #    divide, degenerate rows to 0.5, clip.
+                drows[idx] = ring[ref % size]
+            if s < t0:
+                rows[idx] = fifo.pop(s)
+            else:
+                taps.setdefault(s - t0, []).append(rows[idx])
+            ends[s + wl - t0] = rows[idx]
+        first_start = -(-t0 // ws) * ws
+        for s in range(first_start, total, ws):
+            if s + wl > total:
+                taps.setdefault(s - t0, []).append(fifo.push(s))
+
+        def tap(t, prefix):
+            for dst in taps.get(t, ()):
+                dst[...] = prefix
+            end = ends.get(t)
+            if end is not None:
+                np.subtract(prefix, end, out=end)
+
+        # 1. Gather into the ring — each sample a plane at slot
+        #    ``t % size``, at most two runs around the wrap point — and
+        #    min-max normalize (subtract, divide, degenerate rows to 0.5,
+        #    clip).  2. Running sum down the time axis (the same
+        #    left-to-right association as repeated push()), tapped only
+        #    where a window or a pending snapshot needs it.
         p0 = t0 % size
         first = min(size - p0, m)
-        r1 = g.ring[sl, :, p0 : p0 + first]
-        r2 = g.ring[sl, :, : m - first] if m > first else None
-        perm = g.perm
-        i = sl.start
-        if g.stage is None:
-            if r2 is None:
+        runs = [(ring[p0 : p0 + first], 0)]
+        if m > first:
+            runs.append((ring[: m - first], first))
+        csum = g.csum[sl]
+        if sl.stop - sl.start > 1:
+            # A group: normalize one whole plane at a time in place in
+            # the ring and add it into the running sum while it is still
+            # in cache.
+            for part, lo in runs:
+                hi = lo + part.shape[0]
                 for j, B in enumerate(node_blocks):
-                    B.take(perm[i + j], axis=0, out=r1[j])
-            else:
-                for j, B in enumerate(node_blocks):
-                    B[:, :first].take(perm[i + j], axis=0, out=r1[j])
-                    B[:, first:].take(perm[i + j], axis=0, out=r2[j])
+                    part[:, j] = B[:, lo:hi].T
+            for t in range(m + 1):
+                tap(t, csum)
+                if t < m:
+                    plane = ring[(p0 + t) % size]
+                    self._normalize(g, plane, sl)
+                    np.add(csum, plane, out=csum)
         else:
-            st = g.stage[:, :m]
-            for j, B in enumerate(node_blocks):
-                B.take(perm[i + j], axis=0, out=st)
-                r1[j] = st[:, :first]
-                if r2 is not None:
-                    r2[j] = st[:, first:]
-        for part in (r1,) if r2 is None else (r1, r2):
-            np.subtract(part, g.lower[sl], out=part)
-            np.divide(part, g.span[sl], out=part)
-            if g.deg_any:
-                np.copyto(part, 0.5, where=g.deg_mask[sl])
-            np.clip(part, 0.0, 1.0, out=part)
-        # 2. Sequential prefix sums continuing the running sum (same
-        #    left-to-right association as repeated push()).
-        seq = g.seq[sl, :, : m + 1]
-        seq[:, :, 0] = g.csum[sl]
-        seq[:, :, 1 : first + 1] = r1
-        if r2 is not None:
-            seq[:, :, first + 1 :] = r2
-        seq.cumsum(axis=2, out=seq)
-        # 3. Emits due inside this sub-burst.
+            # One node: too narrow for per-plane calls to pay off.  Its
+            # burst is normalized in the contiguous ``stage``, copied
+            # into the ring, and one cumsum seeded with the running sum
+            # (IEEE addition commutes) yields every prefix sum.
+            stage, seq = g.stage[:m], g.seq[: m + 1]
+            stage[...] = node_blocks[0].T
+            self._normalize(g, stage, sl.start)
+            for part, lo in runs:
+                part[:, 0] = stage[lo : lo + part.shape[0]]
+            seq[0] = csum[0]
+            np.add(stage[0], seq[0], out=stage[0])
+            np.cumsum(stage, axis=0, out=seq[1:])
+            for t in sorted(taps.keys() | ends.keys()):
+                tap(t, seq[t])
+            csum[0] = seq[m]
+        # 3. Emits due inside this sub-burst: derivative rows (the
+        #    window's last column is one of this burst's planes; its
+        #    reference is too, or was copied out in step 0), then value
+        #    and derivative sums become means and go to ``_emit``.
         if k:
-            rows = g.rows[sl, :k, :]
-            for idx in range(k):
-                cnt = g.wl + (k_lo + idx) * g.ws
-                s = cnt - g.wl
-                start_cs = (
-                    seq[:, :, s - t0] if s >= t0 else fifo.pop(s)
-                )
-                np.subtract(seq[:, :, cnt - t0], start_cs, out=rows[:, idx, :])
-            np.divide(rows, g.wl, out=rows)
-            self._reduce(g, sl, rows, k)
-            self._store(
-                g, feat3[:, off : off + k, : g.l],
-                None if qfeat3 is None else qfeat3[:, off : off + k, : g.l],
-                k, sl, True,
-            )
-            for idx in range(k):
-                cnt = g.wl + (k_lo + idx) * g.ws
-                s = cnt - g.wl
+            for idx, s in enumerate(starts):
                 ref = s - 1 if s > 0 else s
-                # ``cnt - 1 >= t0`` always (cnt > t0), so the window's
-                # last column is one of this burst's ring writes; the
-                # reference column is either also in-burst or was
-                # snapshotted in step 0.
-                ref_col = (
-                    g.ring[sl, :, ref % size]
-                    if ref >= t0
-                    else refsnap[:, idx, :]
-                )
+                src = ring[ref % size] if ref >= t0 else drows[idx]
                 np.subtract(
-                    g.ring[sl, :, (cnt - 1) % size],
-                    ref_col,
-                    out=rows[:, idx, :],
+                    ring[(s + wl - 1) % size], src, out=drows[idx]
                 )
-            np.divide(rows, g.wl, out=rows)
-            self._reduce(g, sl, rows, k)
-            self._store(
-                g, feat3[:, off : off + k, g.l :],
-                None if qfeat3 is None else qfeat3[:, off : off + k, g.l :],
-                k, sl, False,
-            )
+            win = g.win[:k, :, sl]
+            np.divide(win, wl, out=win)
+            self._emit(g, sl, k, feat3, qfeat3, off)
             g.emitted[sl] += k
-        # 4. Queue snapshots for windows completing after this burst.
-        first_start = -(-t0 // g.ws) * g.ws
-        for s in range(first_start, total, g.ws):
-            if s + g.wl > total:
-                fifo.push(s)[...] = seq[:, :, s - t0]
-        # 5. Advance retained state: running sum, counts, periodic
-        #    re-anchor.  The ring is already current — normalization
-        #    wrote this burst's columns in place in step 1.
-        g.csum[sl] = seq[:, :, m]
+        # 4. Advance: sample counts, periodic re-anchor.  The ring and
+        #    the running sum are already current.
         g.counts[sl] = total
         if total - int(g.anchors[sl.start]) >= self._reanchor_every:
-            basebuf = g.base_scratch[sl]
-            basebuf[...] = g.csum[sl]
-            np.subtract(g.csum[sl], basebuf, out=g.csum[sl])
+            base = g.base_scratch[sl]
+            base[...] = csum
+            np.subtract(csum, base, out=csum)
             for snap in fifo.views():
-                np.subtract(snap, basebuf, out=snap)
+                np.subtract(snap, base, out=snap)
             g.anchors[sl] = total
         return k
 
-    def _absorb_block(self, g, sl, fifo, node_blocks, feat3, qfeat3, off) -> int:
-        """One fused sub-burst of *arbitrary* length (up to ``g.max_m``).
+    @staticmethod
+    def _normalize(g, x, a) -> None:
+        """Min-max normalize ``x`` in place with node(s) ``a``'s bounds
+        (the batched ``IncrementalSignatureCore._normalize``)."""
+        np.subtract(x, g.lower[a], out=x)
+        np.divide(x, g.span[a], out=x)
+        if g.deg_any:
+            np.copyto(x, 0.5, where=g.deg_mask[a])
+        np.clip(x, 0.0, 1.0, out=x)
 
-        The block-feed twin of :meth:`_absorb`: normalized columns are
-        staged in the ``seq`` scratch instead of the ring, so the burst
-        length is not capped by the ring's ``wl + 1`` slots — a whole
-        telemetry-store partition absorbs in one pass (one cumsum, one
-        window sweep, one forest batch).  Every numbered step reuses the
-        exact operation its in-ring twin runs, merely reading the
-        normalized columns from the staging area, so the output is
-        bit-identical column for column.
+    def _emit(self, g, sl, k, feat3, qfeat3, off) -> None:
+        """Block reduction (the batched ``segment_means``) of the ``k``
+        window rows of nodes ``sl``, stored into their feature rows.
+
+        This is where the CS permutation is applied: one ``take`` moves
+        the model-order value and derivative rows into sorted row order.
         """
-        m = node_blocks[0].shape[1]
-        t0 = int(g.counts[sl.start])
-        total = t0 + m
-        size = g.size
-        k_lo = max(0, -(-(t0 + 1 - g.wl) // g.ws))
-        k_hi = (total - g.wl) // g.ws
-        k = max(0, k_hi - k_lo + 1)
-        seq = g.seq[sl, :, : m + 1]
-        cols = seq[:, :, 1:]  # (c, n, m) staged normalized columns
-        perm = g.perm
-        i = sl.start
-        # Ring-refresh geometry (step 3): the staged tail — the last
-        # ``size`` columns (or all of them for shorter bursts), each at
-        # its ``t % size`` slot, at most two contiguous runs around the
-        # wrap point.  Future bursts then see exactly the state a chain
-        # of in-ring sub-bursts would have left.
-        rstart = max(t0, total - size)
-        kcols = total - rstart
-        p0 = rstart % size
-        first = min(size - p0, kcols)
-        first_start = -(-t0 // g.ws) * g.ws
-        if g.stage is None:
-            # Steps 1-6 fused into one *time-major* pass per node:
-            # gather, normalize, derivative rows, ring refresh, prefix
-            # sums, value rows and pending snapshots all touch one
-            # node's burst while it is cache-resident, instead of five
-            # full-slab RAM sweeps (the group ``seq`` slab is never
-            # materialized — only single prefix-sum rows leave the
-            # cache).  Store planes are column-major, so their transpose
-            # is C-contiguous time-major: gathers read contiguous
-            # tick-columns and the cumsum runs down axis 0 with SIMD
-            # across sensors.  Every operation is elementwise (or a
-            # sensor-independent cumsum) with per-node operands
-            # identical to the group-wide form — IEEE addition is
-            # commutative, so seeding the first tick with the running
-            # sum reproduces the chained cumsum bit for bit.  FIFO pops
-            # and pushes are hoisted out of the node loop in window
-            # order — exactly the order the group-wide sweep issues
-            # them; each node reads its popped rows before writing its
-            # pushed rows, so slot reuse is safe.
-            if k:
-                cnts = g.wl + (k_lo + np.arange(k)) * g.ws
-                starts = cnts - g.wl
-                end_idx = cnts - t0
-                dv_idx = end_idx - 1
-                refs = np.where(starts > 0, starts - 1, starts)
-                from_st = refs >= t0
-                st_ref = (refs - t0)[from_st]
-                ring_ref = (refs % size)[~from_st]
-                from_seq = starts >= t0
-                seq_start = (starts - t0)[from_seq]
-                pend = [
-                    (idx, fifo.pop(int(starts[idx])))
-                    for idx in range(k)
-                    if starts[idx] < t0
-                ]
-            pushes = [
-                (s - t0, fifo.push(s))
-                for s in range(first_start, total, g.ws)
-                if s + g.wl > total
-            ]
-            tT = g.block_stage[:m]
-            sT = g.block_psum[: m + 1]
-            for j, B in enumerate(node_blocks):
-                a = i + j
-                # 1. Gather into sorted row order, time-major.
-                if B.flags.f_contiguous:
-                    np.take(B.T, perm[a], axis=1, out=tT)
-                else:
-                    rows = g.block_rows[:, :m]
-                    np.take(B, perm[a], axis=0, out=rows)
-                    tT[...] = rows.T
-                # 2. Min-max normalize (the batched _normalize).
-                np.subtract(tT, g.lower[a].T, out=tT)
-                np.divide(tT, g.span[a].T, out=tT)
-                if g.deg_any:
-                    np.copyto(tT, 0.5, where=g.deg_mask[a].T)
-                np.clip(tT, 0.0, 1.0, out=tT)
-                if k:
-                    # 3. Derivative rows need the raw normalized
-                    #    columns; references predating the burst still
-                    #    sit untouched in the ring (refreshed in 4).
-                    refsnap = g.refsnap[a, :k, :]
-                    refsnap[from_st] = tT[st_ref]
-                    refsnap[~from_st] = g.ring[a].T[ring_ref]
-                    drows = g.drows[a, :k, :]
-                    np.subtract(tT[dv_idx], refsnap, out=drows)
-                    np.divide(drows, g.wl, out=drows)
-                # 4. Ring refresh from the staged tail.
-                g.ring[a, :, p0 : p0 + first] = tT[
-                    rstart - t0 : rstart - t0 + first
-                ].T
-                if kcols > first:
-                    g.ring[a, :, : kcols - first] = tT[
-                        rstart - t0 + first :
-                    ].T
-                # 5. Sequential prefix sums continuing the running sum
-                #    (same left-to-right association as repeated
-                #    push(): the first tick absorbs the running sum,
-                #    then cumsum walks down the time axis).
-                np.add(tT[0], g.csum[a], out=tT[0])
-                sT[0] = g.csum[a]
-                np.cumsum(tT, axis=0, out=sT[1:])
-                if k:
-                    # 6a. Value rows from the still-warm prefix sums.
-                    vstart = refsnap  # drows already materialized
-                    vstart[from_seq] = sT[seq_start]
-                    for idx, slab in pend:
-                        vstart[idx] = slab[j]
-                    rows = g.rows[a, :k, :]
-                    np.subtract(sT[end_idx], vstart, out=rows)
-                    np.divide(rows, g.wl, out=rows)
-                # 6b. Pending snapshots + running sum for the next burst.
-                for s_rel, slab in pushes:
-                    slab[j] = sT[s_rel]
-                g.csum[a] = sT[m]
-            if k:
-                # 7. Reduce + store: value rows, then derivative rows.
-                self._reduce(g, sl, g.rows[sl, :k, :], k)
-                self._store(
-                    g, feat3[:, off : off + k, : g.l],
-                    None if qfeat3 is None else qfeat3[:, off : off + k, : g.l],
-                    k, sl, True,
-                )
-                self._reduce(g, sl, g.drows[sl, :k, :], k)
-                self._store(
-                    g, feat3[:, off : off + k, g.l :],
-                    None if qfeat3 is None else qfeat3[:, off : off + k, g.l :],
-                    k, sl, False,
-                )
-                g.emitted[sl] += k
-            g.counts[sl] = total
-            if total - int(g.anchors[sl.start]) >= self._reanchor_every:
-                basebuf = g.base_scratch[sl]
-                basebuf[...] = g.csum[sl]
-                np.subtract(g.csum[sl], basebuf, out=g.csum[sl])
-                for snap in fifo.views():
-                    np.subtract(snap, basebuf, out=snap)
-                g.anchors[sl] = total
-            return k
-        else:
-            # Quantized/float32 arenas normalize in the group dtype
-            # *after* the staged float64 gather lands in ``cols`` —
-            # fusing into the float64 stage would change the rounding
-            # story — so they keep the group-wide sweeps.
-            # 1. Gather + normalize.
-            st = g.stage[:, :m]
-            for j, B in enumerate(node_blocks):
-                B.take(perm[i + j], axis=0, out=st)
-                cols[j] = st
-            np.subtract(cols, g.lower[sl], out=cols)
-            np.divide(cols, g.span[sl], out=cols)
-            if g.deg_any:
-                np.copyto(cols, 0.5, where=g.deg_mask[sl])
-            np.clip(cols, 0.0, 1.0, out=cols)
-            # 2. Derivative windows first: they need raw normalized
-            #    columns, which the in-place cumsum of step 4
-            #    overwrites; references predating this burst still sit
-            #    untouched in the ring (only refreshed in step 3).
-            if k:
-                drows = g.drows[sl, :k, :]
-                for idx in range(k):
-                    cnt = g.wl + (k_lo + idx) * g.ws
-                    s = cnt - g.wl
-                    ref = s - 1 if s > 0 else s
-                    ref_col = (
-                        cols[:, :, ref - t0]
-                        if ref >= t0
-                        else g.ring[sl, :, ref % size]
-                    )
-                    np.subtract(
-                        cols[:, :, cnt - 1 - t0], ref_col,
-                        out=drows[:, idx, :],
-                    )
-                np.divide(drows, g.wl, out=drows)
-            # 3. Ring refresh from the staged tail.
-            g.ring[sl, :, p0 : p0 + first] = cols[
-                :, :, rstart - t0 : rstart - t0 + first
-            ]
-            if kcols > first:
-                g.ring[sl, :, : kcols - first] = cols[
-                    :, :, rstart - t0 + first :
-                ]
-            # 4. Sequential prefix sums continuing the running sum, in
-            #    place over the staged columns (same association as
-            #    repeated push(): cumsum left to right).
-            seq[:, :, 0] = g.csum[sl]
-            seq.cumsum(axis=2, out=seq)
-            # 5. Emits due inside this burst: value means from the
-            #    prefix sums (pending starts pop from the FIFO in the
-            #    same order the in-ring kernel pops them), then the
-            #    precomputed derivative rows.
-            if k:
-                rows = g.rows[sl, :k, :]
-                for idx in range(k):
-                    cnt = g.wl + (k_lo + idx) * g.ws
-                    s = cnt - g.wl
-                    start_cs = seq[:, :, s - t0] if s >= t0 else fifo.pop(s)
-                    np.subtract(
-                        seq[:, :, cnt - t0], start_cs, out=rows[:, idx, :]
-                    )
-                np.divide(rows, g.wl, out=rows)
-                self._reduce(g, sl, rows, k)
-                self._store(
-                    g, feat3[:, off : off + k, : g.l],
-                    None if qfeat3 is None else qfeat3[:, off : off + k, : g.l],
-                    k, sl, True,
-                )
-                self._reduce(g, sl, g.drows[sl, :k, :], k)
-                self._store(
-                    g, feat3[:, off : off + k, g.l :],
-                    None if qfeat3 is None else qfeat3[:, off : off + k, g.l :],
-                    k, sl, False,
-                )
-                g.emitted[sl] += k
-        # 6. Queue snapshots for windows completing after this burst.
-        for s in range(first_start, total, g.ws):
-            if s + g.wl > total:
-                fifo.push(s)[...] = seq[:, :, s - t0]
-        # 7. Advance retained state (ring already refreshed in step 3).
-        g.csum[sl] = seq[:, :, m]
-        g.counts[sl] = total
-        if total - int(g.anchors[sl.start]) >= self._reanchor_every:
-            basebuf = g.base_scratch[sl]
-            basebuf[...] = g.csum[sl]
-            np.subtract(g.csum[sl], basebuf, out=g.csum[sl])
-            for snap in fifo.views():
-                np.subtract(snap, basebuf, out=snap)
-            g.anchors[sl] = total
-        return k
-
-    def _reduce(self, g, sl, rows, k) -> None:
-        """Block reduction (the batched ``segment_means``) into ``g.sig``."""
-        ps = g.psum[sl, :k, :]
-        ps[:, :, 0] = 0.0
-        rows.cumsum(axis=2, out=ps[:, :, 1:])
-        sig = g.sig[sl, :k, :]
-        lo = g.sig2[sl, :k, :]
-        # Fancy-index gathers: ``take`` into these non-contiguous
-        # (sl, :k) views runs through numpy's buffered fallback.
-        sig[...] = ps[:, :, g.bends]
-        lo[...] = ps[:, :, g.bstarts]
+        cs, n, l = sl.stop - sl.start, g.n, g.l
+        r = 2 * k
+        prow = g.prow[: r * cs * n].reshape(r, cs, n)
+        np.take(
+            g.win[:k].reshape(r, g.c * n), g.perm[sl], axis=1, out=prow,
+            mode="clip",
+        )
+        ps = g.psum[: r * cs].reshape(r, cs, n + 1)
+        np.cumsum(prow, axis=2, out=ps[:, :, 1:])
+        sig = g.sig[: r * cs * l].reshape(r, cs, l)
+        lo = g.sig2[: r * cs * l].reshape(r, cs, l)
+        np.take(ps, g.bends, axis=2, out=sig, mode="clip")
+        np.take(ps, g.bstarts, axis=2, out=lo, mode="clip")
         np.subtract(sig, lo, out=sig)
         np.divide(sig, g.widths, out=sig)
-
-    def _store(self, g, feat_view, qview, k, sl, is_real: bool) -> None:
-        """Write ``g.sig`` into the feature rows, per the arena's mode."""
-        sig = g.sig[sl, :k, :]
-        if self.mode != "quantized":
-            feat_view[...] = sig
-            return
-        # uint8 binning over each component's exact value range —
-        # values in [0, 1], derivatives in [-1/wl, 1/wl].  The binned
-        # bytes are the mode's stored signatures; the classifier sees
-        # their dequantized bin centers.
-        if is_real:
-            np.multiply(sig, 255.0, out=sig)
-        else:
-            np.multiply(sig, float(g.wl), out=sig)
-            np.add(sig, 1.0, out=sig)
-            np.multiply(sig, 127.5, out=sig)
-        np.rint(sig, out=sig)
-        np.clip(sig, 0.0, 255.0, out=sig)
-        qview[...] = sig
-        if is_real:
-            np.divide(sig, 255.0, out=sig)
-        else:
-            np.divide(sig, 127.5, out=sig)
-            np.subtract(sig, 1.0, out=sig)
-            np.divide(sig, float(g.wl), out=sig)
-        feat_view[...] = sig
+        # (k, [real, imag], nodes, l) -> feature rows (nodes, k, 2 * l).
+        sig = sig.reshape(k, 2, cs, l)
+        feat = feat3[:, off : off + k].reshape(cs, k, 2, l)
+        if self.mode == "quantized":
+            # uint8 binning over each component's exact value range —
+            # values in [0, 1], derivatives in [-1/wl, 1/wl].  The binned
+            # bytes are the mode's stored signatures; the classifier
+            # sees their dequantized bin centers.
+            re, im = sig[:, 0], sig[:, 1]
+            np.multiply(re, 255.0, out=re)
+            np.multiply(im, float(g.wl), out=im)
+            np.add(im, 1.0, out=im)
+            np.multiply(im, 127.5, out=im)
+            np.rint(sig, out=sig)
+            np.clip(sig, 0.0, 255.0, out=sig)
+            qfeat3[:, off : off + k].reshape(cs, k, 2, l)[...] = (
+                sig.transpose(2, 0, 1, 3)
+            )
+            np.divide(re, 255.0, out=re)
+            np.divide(im, 127.5, out=im)
+            np.subtract(im, 1.0, out=im)
+            np.divide(im, float(g.wl), out=im)
+        feat[...] = sig.transpose(2, 0, 1, 3)
 
     # ------------------------------------------------------------------
     def memory_report(self) -> dict:

@@ -105,10 +105,10 @@ class FleetFaultDetector:
         Signature arithmetic: ``"exact"`` (float64, default),
         ``"float32"``, or ``"quantized"`` (uint8-binned features).
     max_chunk:
-        Largest per-tick burst the arena sizes its scratch for
-        (bigger bursts are processed in slices; never changes results).
-        Scratch scales with it — the store replayer passes its block
-        size so whole recorded partitions absorb in one fused pass.
+        Longest sub-burst the arena's kernel takes, capped at the ring's
+        ``wl + 1`` columns (bigger bursts are processed in slices; never
+        changes results).  Window-row scratch scales with the capped
+        value; the per-tick emit rows are pre-sized for it.
     """
 
     def __init__(
@@ -268,9 +268,8 @@ class FleetFaultDetector:
         ``blocks`` yields ``{path: (n, m) matrix}`` mappings — e.g. the
         telemetry store's partition scan — each of which is processed
         like one :meth:`process_block` tick; the concatenated event list
-        is returned.  With ``max_chunk`` sized to the block length, each
-        whole block runs as a single fused arena pass (no per-tick
-        Python loop), which is what
+        is returned.  Each whole block runs as a single arena tick (no
+        per-tick Python loop), which is what
         :func:`repro.service.fastreplay.replay_from_store` feeds.  Event
         *content* is identical to any other chunking of the same samples;
         only the grouping differs (see ``fastreplay`` for the live-order

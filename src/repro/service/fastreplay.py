@@ -10,7 +10,8 @@ names: :func:`record_fleet` writes a fleet's held-out feed into a
 through :class:`~repro.service.detector.FleetFaultDetector` at maximum
 speed: partition-sized blocks stream zero-copy out of the memory-mapped
 store straight into the fused :class:`~repro.engine.hotpath.TickArena`
-(one fused pass per partition, no per-tick loop, no guard re-validation).
+(one arena tick per partition, which sweeps it in ring-sized
+sub-bursts; no per-tick loop, no guard re-validation).
 
 **Byte-identity contract.**  The alert JSONL of a store replay is
 byte-identical to live ingestion of the same window — across processes
@@ -194,8 +195,9 @@ def replay_from_store(
 
     Partition-sized blocks stream out of the memory-mapped store into
     :meth:`FleetFaultDetector.process_blocks`, with the detector's
-    ``max_chunk`` sized to the largest block so the fused arena absorbs
-    each whole partition in one pass.  Events are then re-sorted into
+    ``max_chunk`` sized to the largest block: each whole partition is
+    one arena tick (no per-tick Python loop) whose emit rows are sized
+    up front.  Events are then re-sorted into
     live emission order under ``live_chunk`` (default: the recorded
     ``meta["chunk"]``) and — for recordings of guarded clean feeds —
     stamped with the guard's ``health: "healthy"`` field, making the

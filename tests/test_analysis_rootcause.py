@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.analysis.rootcause import block_sensors, explain_difference
+from repro.core.blocks import block_sensor_map
+from repro.core.model import CSModel
 from repro.core.training import train_cs_model
 
 
@@ -32,6 +34,33 @@ class TestBlockSensors:
     def test_rejects_out_of_range_block(self, model):
         with pytest.raises(ValueError):
             block_sensors(model, 4, 4)
+
+    @pytest.mark.parametrize("l", [1, 4, 5, 12])
+    def test_cached_names_equal_block_sensor_map(self, model, l):
+        rows = block_sensor_map(model.n_sensors, l, model.permutation)
+        for _ in range(2):  # cold, then cached
+            for b in range(l):
+                assert block_sensors(model, l, b) == tuple(
+                    model.sensor_names[i] for i in rows[b]
+                )
+        assert block_sensors(model, l, 0) is block_sensors(model, l, 0)
+
+    def test_cache_follows_the_model_object(self, model):
+        first = block_sensors(model, 12, 0)
+        flipped = CSModel(
+            permutation=model.permutation[::-1].copy(),
+            lower=model.lower,
+            upper=model.upper,
+            sensor_names=model.sensor_names,
+        )
+        assert block_sensors(flipped, 12, 0) == (
+            f"sensor{model.permutation[-1]}",
+        )
+        assert block_sensors(model, 12, 0) == first
+        model.permutation = model.permutation[::-1].copy()
+        assert block_sensors(model, 12, 0) == (
+            f"sensor{model.permutation[0]}",
+        )
 
     def test_rejects_model_without_names(self, correlated_matrix):
         model = train_cs_model(correlated_matrix)

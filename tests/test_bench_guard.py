@@ -240,6 +240,27 @@ class TestTickGuard:
             "staged pipeline (floor: 2x)"
         )
 
+    def test_reference_shape_tick_floors(self):
+        """Floors for the 1000-node, chunk-30, exact tick against the
+        staged reference, set from the median of 5 runs (uniform 3.21x,
+        min 3.14x; degraded 1.24x, min 1.21x)."""
+        summary = _load_summary(TICK_SUMMARY_JSON)
+        floors = {
+            "ref_tick_uniform_speedup": 2.5,
+            "ref_tick_degraded_speedup": 1.1,
+        }
+        for key, floor in floors.items():
+            assert key in summary, f"BENCH_tick.json is missing {key}"
+            assert summary[key] >= floor, (
+                f"{key} = {summary[key]}x (floor: {floor}x)"
+            )
+
+    def test_memory_per_node_exact_does_not_grow(self):
+        """The time-outer arena must not cost more per node than the
+        sensor-major layout it replaced (203,048 bytes recorded)."""
+        summary = _load_summary(TICK_SUMMARY_JSON)
+        assert summary["memory_per_node_exact_bytes"] <= 203_048
+
     def test_memory_per_node_recorded_for_every_mode(self):
         summary = _load_summary(TICK_SUMMARY_JSON)
         for mode in ("exact", "float32", "quantized"):

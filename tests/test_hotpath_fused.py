@@ -15,6 +15,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.core.model import CSModel
+from repro.engine.fleet import FleetSignatureEngine
 from repro.engine.hotpath import SIGNATURE_MODES, TickArena
 from repro.service._staged_reference import (
     StagedFleetFaultDetector,
@@ -117,6 +119,172 @@ class TestExactBitEquality:
             staged = replay(small_setup, chunk=10)
         fused = replay(small_setup, chunk=10)
         assert fused.events == staged.events
+
+
+def _drive(arena, engine, feeds, streams=None):
+    """Run ``feeds`` through the arena and through one streaming core
+    per node; every signature must match bit for bit."""
+    if streams is None:
+        streams = {p: engine.stream(p) for p in arena.paths}
+    for data in feeds:
+        for path, labels, _, row0 in arena.tick(data):
+            want = streams[path].push_block(data[path])
+            assert labels.shape[0] == want.shape[0]
+            for j in range(want.shape[0]):
+                assert arena.signature(row0 + j).tobytes() == want[j].tobytes()
+    return streams
+
+
+def _assert_states_match(arena, streams):
+    """``node_state`` must equal the streaming core's ``state_dict``
+    bit for bit — dtype, shape and memory order included, since
+    checkpoints write these arrays as they are."""
+    for path, stream in streams.items():
+        got, want = arena.node_state(path), stream._core.state_dict()
+        assert got.keys() == want.keys()
+        for key, b in want.items():
+            a = got[key]
+            if isinstance(b, np.ndarray):
+                assert a.dtype == b.dtype and a.shape == b.shape, key
+                assert a.flags.c_contiguous, key
+                assert a.tobytes() == b.tobytes(), (path, key)
+            else:
+                assert a == b, (path, key)
+
+
+def _bursts(setup, chunk, *, skip=None, upto=None):
+    """Equal ``chunk``-column bursts for every node; ``skip=(tick,
+    path)`` drops one node's burst once (that node stays behind)."""
+    t = upto or min(m.shape[1] for m in setup.eval_data.values())
+    pos = {p: 0 for p in setup.eval_data}
+    feeds = []
+    for tick in range(t // chunk):
+        data = {}
+        for p, m in setup.eval_data.items():
+            if skip == (tick, p):
+                continue
+            data[p] = m[:, pos[p] : pos[p] + chunk]
+            pos[p] += chunk
+        feeds.append(data)
+    return feeds
+
+
+class TestArenaEdgeCases:
+    """Paths the replay tests do not reach, each checked against the
+    streaming core."""
+
+    def _arena(self, setup, engine=None, *, max_chunk=30):
+        return TickArena(
+            engine or setup.trained.engine,
+            setup.trained.classifier.forest,
+            mode="exact",
+            max_chunk=max_chunk,
+        )
+
+    def test_degenerate_sensor_model(self, small_setup):
+        """Constant sensors (upper == lower) normalize to 0.5."""
+        src = small_setup.trained.engine
+        engine = FleetSignatureEngine(src.blocks, wl=src.wl, ws=src.ws)
+        data = {}
+        for k, p in enumerate(src.paths):
+            model = src.model(p)
+            flat = [3, 40 + k, 127]
+            upper = model.upper.copy()
+            upper[flat] = model.lower[flat]
+            engine.set_model(
+                p,
+                CSModel(
+                    permutation=model.permutation,
+                    lower=model.lower,
+                    upper=upper,
+                    sensor_names=model.sensor_names,
+                ),
+            )
+            m = small_setup.eval_data[p].copy()
+            m[flat[:2]] = model.lower[flat[:2], None]  # constant feeds
+            data[p] = m
+        setup = type(small_setup)(
+            trained=small_setup.trained,
+            eval_data=data,
+            truth=small_setup.truth,
+            wl=small_setup.wl,
+            ws=small_setup.ws,
+        )
+        arena = self._arena(setup, engine)
+        assert all(g.deg_any for g in arena.groups)
+        streams = _drive(arena, engine, _bursts(setup, 30))
+        _assert_states_match(arena, streams)
+
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_reanchoring(self, small_setup, skip):
+        engine = small_setup.trained.engine
+        arena = self._arena(small_setup)
+        arena._reanchor_every = 50  # several re-anchors in-run
+        streams = {p: engine.stream(p) for p in arena.paths}
+        for stream in streams.values():
+            stream._core._REANCHOR_INTERVAL = 50
+        feeds = _bursts(
+            small_setup, 30, skip=(4, arena.paths[1]) if skip else None
+        )
+        _drive(arena, engine, feeds, streams)
+        assert all(g.uniform != skip for g in arena.groups)
+        assert all(int(g.anchors.min()) > 0 for g in arena.groups)
+        _assert_states_match(arena, streams)
+
+    @pytest.mark.parametrize("chunk", [30, 7, 61])
+    def test_bursts_straddle_the_ring_wrap(self, small_setup, chunk):
+        """The ring has ``wl + 1 = 61`` slots: these bursts keep
+        landing across its wrap point at shifting offsets."""
+        assert small_setup.wl + 1 == 61
+        engine = small_setup.trained.engine
+        arena = self._arena(small_setup, max_chunk=chunk)
+        streams = {p: engine.stream(p) for p in arena.paths}
+        for data in _bursts(small_setup, chunk, upto=400):
+            _drive(arena, engine, [data], streams)
+            _assert_states_match(arena, streams)
+
+    @pytest.mark.parametrize("chunk", [30, 100])
+    def test_single_node_group(self, small_setup, chunk):
+        """A one-node group stays uniform and runs the per-node path."""
+        engine = small_setup.trained.engine
+        path = engine.paths[0]
+        arena = TickArena(
+            engine,
+            small_setup.trained.classifier.forest,
+            max_chunk=chunk,
+            paths=[path],
+        )
+        m = small_setup.eval_data[path]
+        feeds = [{path: m[:, lo : lo + chunk]} for lo in range(0, 600, chunk)]
+        streams = _drive(arena, engine, feeds)
+        assert [(g.c, g.uniform) for g in arena.groups] == [(1, True)]
+        _assert_states_match(arena, streams)
+
+    @pytest.mark.parametrize("degraded", [False, True])
+    def test_state_round_trip_with_pending_snapshots(
+        self, small_setup, degraded
+    ):
+        engine = small_setup.trained.engine
+        victim = small_setup.trained.engine.paths[2]
+        feeds = _bursts(
+            small_setup, 30, skip=(1, victim) if degraded else None
+        )
+        head, tail = feeds[:3], feeds[3:]
+        first = self._arena(small_setup)
+        streams = _drive(first, engine, head)
+        states = {p: first.node_state(p) for p in first.paths}
+        assert all(len(st["pending_starts"]) for st in states.values())
+        _assert_states_match(first, streams)
+        second = self._arena(small_setup)
+        second.restore_states(states)
+        assert all(g.uniform != degraded for g in second.groups)
+        _assert_states_match(second, streams)
+        twins = {p: engine.stream(p) for p in first.paths}
+        for p, twin in twins.items():
+            twin._core.load_state(streams[p]._core.state_dict())
+        _drive(first, engine, tail, streams)
+        _drive(second, engine, tail, twins)
+        _assert_states_match(second, streams)
 
 
 class TestReducedPrecisionModes:
