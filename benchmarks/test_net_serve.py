@@ -15,7 +15,9 @@ throughput, not training time.
 
 Results merge into ``results/net_serve.csv`` and ``BENCH_service.json``
 (keys ``net_*``); ``tests/test_bench_guard.py`` enforces the
-1000-node floor and the byte-identity bit.
+1000-node floor, the byte-identity bit and the decode-throughput floor
+(``net_decode_mb_s``: one 1000-node tick of binary frames decoded out
+of a reused receive buffer, the way the server reads it).
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import statistics
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -36,7 +40,13 @@ from repro.service.api import (
     replay,
     replicate_setup,
 )
-from repro.service.net import FleetServer, ListAlertSink, loadgen
+from repro.service.net import (
+    RECV_BUFFER_BYTES,
+    FleetServer,
+    ListAlertSink,
+    loadgen,
+)
+from repro.service.protocol import FrameDecoder, encode_binary
 
 ROOT = Path(__file__).resolve().parent.parent
 RESULTS_CSV = ROOT / "results" / "net_serve.csv"
@@ -232,6 +242,42 @@ def test_wal_overhead(base_config, base_setup, tmp_path):
     assert snap["samples_per_s"] >= nodes, (
         "journaled server fell below the 1 Hz serving cadence"
     )
+
+
+#: Decodes of the tick timed by the decode-throughput case (median kept).
+DECODE_REPEATS = 7
+
+
+def test_decode_throughput(base_setup):
+    """Wire decode alone: one 1000-node tick of binary frames copied,
+    read by read, into one reused receive buffer and fed to
+    :meth:`FrameDecoder.feed` as views of it — the server's ingress
+    path minus the socket.  Only the ``feed`` calls are timed; the
+    copy into the buffer stands in for the kernel's ``recv_into``."""
+    setup = replicate_setup(base_setup, max(FLEET_SIZES))
+    stream = b"".join(
+        encode_binary(path, 0, setup.eval_data[path][:, :CHUNK])
+        for path in sorted(setup.eval_data)
+    )
+    rbuf = bytearray(RECV_BUFFER_BYTES)
+    view = memoryview(rbuf)
+    rates = []
+    for _ in range(DECODE_REPEATS):
+        decoder = FrameDecoder()
+        n_frames = 0
+        elapsed = 0.0
+        for lo in range(0, len(stream), RECV_BUFFER_BYTES):
+            n = min(RECV_BUFFER_BYTES, len(stream) - lo)
+            rbuf[:n] = stream[lo : lo + n]
+            t0 = time.perf_counter()
+            frames, errors = decoder.feed(view[:n])
+            elapsed += time.perf_counter() - t0
+            assert errors == []
+            n_frames += len(frames)
+        assert n_frames == len(setup.eval_data)
+        assert decoder.pending == 0
+        rates.append(len(stream) / 1e6 / elapsed)
+    _summary["net_decode_mb_s"] = round(statistics.median(rates), 1)
 
 
 def test_zz_write_summary():

@@ -21,6 +21,12 @@ python -m pytest -x -q
 echo "== bench guards (recorded speedup floors) =="
 python -m pytest tests/test_bench_guard.py -q
 
+echo "== end-to-end benchmark checks (perfbench's own tests) =="
+# Smoke-sized runs of every workload plus the tracing checks: a renamed
+# decode, route or WAL entry point fails here instead of turning into a
+# null (unmeasured) layer metric.
+python -m pytest perfbench/tests -q
+
 # Opt-in benchmark refresh: regenerates results/*.csv + BENCH_*.json
 # through the same entry point developers use (`repro bench`).  Off by
 # default — the recorded summaries are committed and the guards above

@@ -31,6 +31,23 @@ Design decisions:
   container is single-CPU anyway); socket reads queue in kernel
   buffers meanwhile, which is exactly the backpressure TCP gives for
   free.
+* **Buffered-protocol ingress.**  Each connection is an
+  :class:`asyncio.BufferedProtocol`: the transport reads with
+  ``recv_into`` into one per-connection receive buffer of
+  :data:`RECV_BUFFER_BYTES`, and the bytes read go to
+  :meth:`FrameDecoder.feed` as a ``memoryview`` slice of it, decoded
+  and routed in the same callback.  There is no stream reader copying
+  each read into a fresh ``bytes``; each frame is copied once, by the
+  decoder, into bytes the frame owns, so the buffer is reused by the
+  very next read.  The buffer is an anonymous mapping: only the pages
+  reads actually fill are committed, so a fleet of one connection per
+  node, each sending one small frame at a time, does not cost a
+  megabyte per connection.
+* **O(1) pump wakes.**  The pump wakes once per read that completed a
+  frame.  Whether the barrier is complete is a counter of queues whose
+  head holds the cursor tick, kept up to date as frames are queued;
+  the full sweep for stale heads runs only after the cursor moved
+  (routing already drops frames older than the cursor).
 
 The ops HTTP surface (:mod:`repro.service.ops`) runs on a second
 listener of the same loop and reads the same live objects.
@@ -40,6 +57,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import mmap
 import threading
 import time
 from collections import deque
@@ -82,6 +100,10 @@ WAL_LAG_DEGRADED = 4096
 #: Consecutive barrier-timeout ticks beyond which ``/health`` reports
 #: the ``barrier-timeout-streak`` degraded reason.
 TIMEOUT_STREAK_DEGRADED = 3
+
+#: Per-connection receive buffer: one read takes up to this many bytes,
+#: about 33 binary frames of a 128-sensor, 30-sample burst.
+RECV_BUFFER_BYTES = 1 << 20
 
 
 def parse_address(address: str) -> tuple[str, int]:
@@ -294,6 +316,31 @@ class ServerCheckpoint:
             raise ValueError("checkpoint every must be >= 1")
 
 
+class _Ingress(asyncio.BufferedProtocol):
+    """One ingestion connection: reads land in a reused receive buffer
+    and are decoded straight out of it (see the module docstring)."""
+
+    def __init__(self, server: "FleetServer"):
+        self.server = server
+        self.decoder = FrameDecoder()
+        self.transport = None
+        self._view = memoryview(mmap.mmap(-1, RECV_BUFFER_BYTES))
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.server._conn_opened(transport)
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._view
+
+    def buffer_updated(self, nbytes: int) -> None:
+        frames, errors = self.decoder.feed(self._view[:nbytes])
+        self.server._ingest(self.transport, frames, errors)
+
+    def connection_lost(self, exc) -> None:
+        self.server._conn_closed(self.transport, self.decoder.eof())
+
+
 class FleetServer:
     """The asyncio ingestion front-end around one guarded detector.
 
@@ -400,7 +447,13 @@ class FleetServer:
         #: nodes during a barrier stall cannot grow server memory.
         self._pending: dict[str, object] = {}
         self._cursor = 0
-        self._open_conns = 0
+        #: Queued entries over all node queues.
+        self._queued = 0
+        #: Queues whose head holds the cursor tick; exact whenever
+        #: ``_swept`` equals the cursor (see :meth:`_drop_stale`).
+        self._ready = 0
+        #: The cursor at the last stale-head sweep (None: never swept).
+        self._swept: int | None = None
         self._had_conn = False
         self._eof_seen = False
         #: Monotonic moment ``_draining`` first observed the server
@@ -430,8 +483,10 @@ class FleetServer:
         self._recovering = False
         self._recovered = False
         self._timeout_streak = 0
-        #: Writers of connections that opted into per-tick acks.
+        #: Transports of connections that opted into per-tick acks.
         self._ack_subs: set = set()
+        #: Open ingestion transports (closed when the server stops).
+        self._conns: set = set()
         #: Bound ports, valid once :attr:`ready` is set.
         self.port: int | None = None
         self.ops_bound_port: int | None = None
@@ -456,7 +511,9 @@ class FleetServer:
         if self._wal is not None and not self._recovering:
             # Journal before queueing: once routing mutates state, the
             # frame must be replayable or a crash diverges.
-            self._wal.append_frame(frame.node, frame.tick, frame.values)
+            self._wal.append_frame(
+                frame.node, frame.tick, frame.values, wire=frame.wire
+            )
         queue = self._queues.get(frame.node)
         if queue is None:
             # Unknown node: hand it to the guard at the next tick so
@@ -475,7 +532,17 @@ class FleetServer:
         if frame.tick < self._cursor:
             self.stats.late_dropped += 1
             return
-        queue.push(frame.tick, frame.values, samples)
+        self._push(queue, frame.tick, frame.values, samples)
+
+    def _push(self, queue: NodeQueue, tick: int, values, samples: int):
+        """``queue.push`` keeping the queued and ready counts current."""
+        entries = queue.entries
+        before = len(entries)
+        cursor = self._cursor
+        was_ready = before > 0 and entries[0][0] == cursor
+        queue.push(tick, values, samples)
+        self._queued += len(entries) - before
+        self._ready += (entries[0][0] == cursor) - was_ready
 
     def _route_error(self, error: FrameError) -> None:
         self.stats.garbage += 1
@@ -492,48 +559,40 @@ class FleetServer:
             tick = (
                 queue.entries[-1][0] + 1 if queue.entries else self._cursor
             )
-            queue.push(tick, None, 0)
+            self._push(queue, tick, None, 0)
 
-    async def _handle_conn(self, reader, writer):
+    def _conn_opened(self, transport) -> None:
+        self._conns.add(transport)
         self.stats.connections += 1
-        self._open_conns += 1
         self._had_conn = True
-        decoder = FrameDecoder()
-        try:
-            while True:
-                data = await reader.read(1 << 16)
-                if not data:
-                    break
-                frames, errors = decoder.feed(data)
-                for frame in frames:
-                    if frame.control == "acks":
-                        # The sender wants per-tick acks (reconnecting
-                        # clients resume from the last acked tick).
-                        self._ack_subs.add(writer)
-                    self._route_frame(frame)
-                for error in errors:
-                    self._route_error(error)
-                if frames or errors:
-                    self._wake.set()
-        except (ConnectionResetError, asyncio.CancelledError):
-            pass
-        finally:
-            for error in decoder.eof():
-                self._route_error(error)
-            self._ack_subs.discard(writer)
-            self._open_conns -= 1
+
+    def _ingest(self, transport, frames, errors) -> None:
+        """Route what one read of ``transport`` decoded."""
+        for frame in frames:
+            if frame.control == "acks":
+                # The sender wants per-tick acks (reconnecting
+                # clients resume from the last acked tick).
+                self._ack_subs.add(transport)
+            self._route_frame(frame)
+        for error in errors:
+            self._route_error(error)
+        if frames or errors:
             self._wake.set()
-            try:
-                writer.close()
-            except OSError:  # pragma: no cover - teardown race
-                pass
+
+    def _conn_closed(self, transport, errors) -> None:
+        for error in errors:
+            self._route_error(error)
+        self._ack_subs.discard(transport)
+        self._conns.discard(transport)
+        if self._wake is not None:
+            self._wake.set()
 
     # -- the pump ------------------------------------------------------
     def _draining(self) -> bool:
         """No more input is coming; finish what is queued and stop."""
         if self._stop_requested:
             return True
-        if self._open_conns > 0 or not self._had_conn:
+        if self._conns or not self._had_conn:
             self._idle_since = None
             return False
         if self._eof_seen:
@@ -550,11 +609,25 @@ class FleetServer:
         return now - self._idle_since >= self.idle_grace
 
     def _drop_stale(self) -> None:
+        """Drop queued ticks older than the cursor and recount the
+        queues ready for it — only when the cursor moved since the last
+        sweep: routing drops late frames, so stale heads appear only
+        when the cursor advances past queued ticks."""
+        cursor = self._cursor
+        if cursor == self._swept:
+            return
+        dropped = ready = 0
         for queue in self._queues.values():
             entries = queue.entries
-            while entries and entries[0][0] < self._cursor:
+            while entries and entries[0][0] < cursor:
                 entries.popleft()
-                self.stats.late_dropped += 1
+                dropped += 1
+            if entries and entries[0][0] == cursor:
+                ready += 1
+        self.stats.late_dropped += dropped
+        self._queued -= dropped
+        self._ready = ready
+        self._swept = cursor
 
     def _barrier_complete(self) -> bool:
         # Every node's queue must hold the tick *at the cursor* — a
@@ -564,16 +637,11 @@ class FleetServer:
         # non-empty check would then process — and ack — an empty
         # tick N, and a resuming client would trust that ack and never
         # retransmit the lost data.
-        cursor = self._cursor
-        return all(
-            q.entries and q.entries[0][0] == cursor
-            for q in self._queues.values()
-        )
+        self._drop_stale()
+        return self._ready == len(self._queues)
 
     def _any_queued(self) -> bool:
-        return bool(self._pending) or any(
-            q.entries for q in self._queues.values()
-        )
+        return bool(self._pending) or self._queued > 0
 
     def _process_tick(self) -> None:
         cursor = self._cursor
@@ -585,6 +653,7 @@ class FleetServer:
                 _, values, samples = entries.popleft()
                 burst[path] = values
                 tick_samples += samples
+        self._queued -= len(burst)
         for node, values in self._pending.items():
             burst.setdefault(node, values)
         self._pending.clear()
@@ -648,7 +717,6 @@ class FleetServer:
         # one dead agent *would* stall the world.
         deadline: float | None = None
         while True:
-            self._drop_stale()
             if self._barrier_complete():
                 self._process_tick()
                 self._timeout_streak = 0
@@ -767,7 +835,8 @@ class FleetServer:
             if pending:
                 self._pending[frame.node] = frame.values
             else:
-                self._queues[frame.node].push(
+                self._push(
+                    self._queues[frame.node],
                     frame.tick,
                     frame.values,
                     self._frame_samples(frame.values),
@@ -890,7 +959,7 @@ class FleetServer:
             "reasons": reasons,
             "tick": self._cursor,
             "nodes": len(self._queues),
-            "connections": self._open_conns,
+            "connections": len(self._conns),
             "quarantined": quarantined,
             "timeout_streak": self._timeout_streak,
             "wal": (
@@ -939,8 +1008,8 @@ class FleetServer:
 
         self._loop = asyncio.get_running_loop()
         self._wake = asyncio.Event()
-        server = await asyncio.start_server(
-            self._handle_conn, self.host, self.requested_port
+        server = await self._loop.create_server(
+            lambda: _Ingress(self), self.host, self.requested_port
         )
         self.port = server.sockets[0].getsockname()[1]
         ops_server = None
@@ -962,6 +1031,8 @@ class FleetServer:
             await self._pump()
         finally:
             server.close()
+            for transport in list(self._conns):
+                transport.close()
             if ops_server is not None:
                 ops_server.close()
             await server.wait_closed()

@@ -37,14 +37,28 @@ chunks: it yields decoded :class:`Frame`\\ s plus typed
 cannot take the ingestion loop down.  Errors that can be attributed to
 a node keep its path, which lets the server route the fault into the
 guard's quarantine machinery as a poison block.
+
+**One copy per frame.**  :meth:`FrameDecoder.feed` takes any contiguous
+bytes-like chunk — ``bytes`` from a CLI client, or a ``memoryview``
+slice of a receive buffer the server reuses for the next read — and
+parses it in place with a moving offset: headers are unpacked, the
+checksum computed and lines and resync targets found over views of the
+caller's buffer.  A binary frame that passes every check is copied out
+exactly once, whole, into ``bytes`` the :class:`Frame` owns
+(:attr:`Frame.wire`, which the journal appends verbatim); ``values`` is
+a read-only ``np.frombuffer`` view of those bytes.  No frame ever
+aliases the caller's buffer, so the caller may overwrite it as soon as
+``feed`` returns.  Only a trailing partial frame is kept between calls,
+in the decoder's own buffer.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -71,6 +85,15 @@ MAGIC = b"\x93RT1"
 _HEADER = struct.Struct("<BHQHI")  # v1: version, path_len, tick, n, m
 _HEADER2 = struct.Struct("<BHQHII")  # v2: ... + crc32
 _VERSION = 2
+_BODY_LEN = struct.Struct("<I")  # after MAGIC
+_PREFIX = len(MAGIC) + _BODY_LEN.size
+
+#: Searched straight over the caller's buffer (``re`` accepts any
+#: bytes-like object, memoryviews included, without copying).
+_NEWLINE = re.compile(rb"\n")
+#: Where resync may land: a binary magic, a JSON line start, or just
+#: past a line end.
+_RESYNC = re.compile(re.escape(MAGIC) + rb"|\{|\n")
 
 #: Upper bound on one frame body / JSON line; anything larger is
 #: treated as garbage (a desynchronized or malicious length prefix must
@@ -89,6 +112,10 @@ class Frame:
     #: put there) for JSON frames — the guard boundary conforms it.
     values: Any
     control: str | None = None
+    #: The complete binary frame as received (magic, length prefix and
+    #: body): the one copy the decoder makes, which ``values`` views.
+    #: ``None`` for JSON and control frames.
+    wire: bytes | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -153,31 +180,40 @@ def encode_binary(node: str, tick: int, values) -> bytes:
     return MAGIC + struct.pack("<I", len(body)) + body
 
 
-def _decode_body(body: bytes) -> Frame | FrameError:
-    if len(body) < _HEADER.size:
+def _decode_binary(
+    view: memoryview, start: int, stop: int
+) -> Frame | FrameError:
+    """Decode the binary frame at ``view[start:stop]`` (prefix included).
+
+    Every check runs over the view; only a frame that passes them all
+    is copied, once, into the ``bytes`` its :class:`Frame` owns.
+    """
+    body = start + _PREFIX
+    size = stop - body
+    if size < _HEADER.size:
         return FrameError("bad-frame", detail="short header")
-    version = body[0]
+    version = view[body]
     if version == 1:
         header, crc = _HEADER, None
-        _, path_len, tick, n, m = _HEADER.unpack_from(body)
+        _, path_len, tick, n, m = _HEADER.unpack_from(view, body)
     elif version == _VERSION:
-        if len(body) < _HEADER2.size:
+        if size < _HEADER2.size:
             return FrameError("bad-frame", detail="short header")
         header = _HEADER2
-        _, path_len, tick, n, m, crc = _HEADER2.unpack_from(body)
+        _, path_len, tick, n, m, crc = _HEADER2.unpack_from(view, body)
     else:
         return FrameError("bad-frame", detail=f"unknown version {version}")
     expected = header.size + path_len + 8 * n * m
-    if len(body) != expected:
+    if size != expected:
         return FrameError(
             "bad-frame",
-            detail=f"body is {len(body)} bytes, header implies {expected}",
+            detail=f"body is {size} bytes, header implies {expected}",
         )
-    raw_path = body[header.size : header.size + path_len]
+    path_at = body + header.size
+    values_at = path_at + path_len
+    raw_path = view[path_at:values_at]
     if crc is not None:
-        actual = zlib.crc32(
-            raw_path, zlib.crc32(body[header.size + path_len :])
-        )
+        actual = zlib.crc32(raw_path, zlib.crc32(view[values_at:stop]))
         if actual != crc:
             # Transport corruption: the path bytes themselves are
             # untrustworthy, so no node attribution — the server must
@@ -187,13 +223,14 @@ def _decode_body(body: bytes) -> Frame | FrameError:
                 detail=f"checksum {actual:#010x} != header {crc:#010x}",
             )
     try:
-        path = raw_path.decode("utf-8")
+        path = str(raw_path, "utf-8")
     except UnicodeDecodeError:
         return FrameError("bad-frame", detail="undecodable path")
+    wire = bytes(view[start:stop])
     values = np.frombuffer(
-        body, dtype="<f8", count=n * m, offset=header.size + path_len
+        wire, dtype="<f8", count=n * m, offset=values_at - start
     ).reshape(n, m)
-    return Frame(node=path, tick=int(tick), values=values)
+    return Frame(node=path, tick=int(tick), values=values, wire=wire)
 
 
 def _decode_line(line: bytes) -> Frame | FrameError:
@@ -226,7 +263,12 @@ def _decode_line(line: bytes) -> Frame | FrameError:
 
 
 class FrameDecoder:
-    """Incremental ``repro-ticks/v1`` decoder with garbage resync."""
+    """Incremental ``repro-ticks/v1`` decoder with garbage resync.
+
+    Parses each fed chunk in place; only a trailing partial frame is
+    carried over, in :attr:`_buf`, and completed from the head of the
+    next chunk.
+    """
 
     def __init__(self):
         self._buf = bytearray()
@@ -236,71 +278,80 @@ class FrameDecoder:
         """Bytes buffered but not yet decodable."""
         return len(self._buf)
 
-    def feed(self, data: bytes) -> tuple[list[Frame], list[FrameError]]:
-        """Consume one chunk; return every frame/error it completed."""
-        self._buf.extend(data)
+    def feed(self, data) -> tuple[list[Frame], list[FrameError]]:
+        """Consume one chunk; return every frame/error it completed.
+
+        ``data`` is any contiguous bytes-like object; ``len(data)``
+        bytes are consumed.  Nothing returned refers to ``data``.
+        """
         frames: list[Frame] = []
         errors: list[FrameError] = []
-        buf = self._buf
-        while buf:
-            first = buf[0]
-            if first == MAGIC[0]:
-                if len(buf) < len(MAGIC) + 4:
-                    break  # incomplete prefix
-                if bytes(buf[: len(MAGIC)]) != MAGIC:
-                    self._resync(errors)
-                    continue
-                (body_len,) = struct.unpack_from("<I", buf, len(MAGIC))
-                if body_len > MAX_FRAME_BYTES:
-                    errors.append(
-                        FrameError(
-                            "garbage",
-                            detail=f"frame length {body_len} exceeds cap",
-                        )
-                    )
-                    del buf[: len(MAGIC)]  # skip the magic, resync after
-                    continue
-                total = len(MAGIC) + 4 + body_len
-                if len(buf) < total:
-                    break  # incomplete frame
-                result = _decode_body(bytes(buf[len(MAGIC) + 4 : total]))
-                del buf[:total]
-            elif first == 0x7B:  # "{"
-                nl = buf.find(b"\n")
-                if nl < 0:
-                    if len(buf) > MAX_FRAME_BYTES:
-                        errors.append(
-                            FrameError("garbage", detail="unterminated line")
-                        )
-                        buf.clear()
-                    break
-                result = _decode_line(bytes(buf[:nl]))
-                del buf[: nl + 1]
-            else:
-                self._resync(errors)
-                continue
-            if isinstance(result, Frame):
-                frames.append(result)
-            else:
-                errors.append(result)
+        view = memoryview(data)
+        if view.ndim != 1 or view.format != "B":
+            view = view.cast("B")
+        if self._buf:
+            view = self._complete(view, frames, errors)
+        off = _parse(view, frames, errors)
+        if off < len(view):
+            self._buf += view[off:]
         return frames, errors
 
-    def _resync(self, errors: list[FrameError]) -> None:
-        """Skip garbage up to the next plausible frame start."""
+    def _complete(
+        self,
+        view: memoryview,
+        frames: list[Frame],
+        errors: list[FrameError],
+    ) -> memoryview:
+        """Finish the carried partial frame from the head of ``view``;
+        return the part of ``view`` still to parse.
+
+        The carried bytes always start a frame (resync never stops on
+        anything else), so usually exactly the bytes that frame still
+        lacks are appended.  When the carried bytes turn out to be
+        garbage (a bad magic) or an oversized length prefix, the whole
+        chunk is appended and the joined buffer parsed — the rare
+        path, where copying does not matter.
+        """
         buf = self._buf
-        candidates = [
-            i
-            for i in (buf.find(MAGIC, 1), buf.find(b"{", 1))
-            if i > 0
-        ]
-        nl = buf.find(b"\n", 1)
-        if nl >= 0:
-            candidates.append(nl + 1)
-        skip = min(candidates) if candidates else len(buf)
-        errors.append(
-            FrameError("garbage", detail=f"skipped {skip} bytes")
-        )
-        del buf[:skip]
+        if buf[0] == MAGIC[0]:
+            if len(buf) < _PREFIX:
+                take = _PREFIX - len(buf)
+                buf += view[:take]
+                view = view[take:]
+                if len(buf) < _PREFIX:
+                    return view
+            (body_len,) = _BODY_LEN.unpack_from(buf, len(MAGIC))
+            if buf[: len(MAGIC)] != MAGIC or body_len > MAX_FRAME_BYTES:
+                buf += view
+                self._parse_buffer(frames, errors)
+                return view[len(view) :]
+            need = _PREFIX + body_len - len(buf)
+            if need > len(view):
+                buf += view
+                return view[len(view) :]
+        else:  # a JSON line waiting for its newline
+            match = _NEWLINE.search(view)
+            if match is None:
+                if len(buf) + len(view) > MAX_FRAME_BYTES:
+                    errors.append(
+                        FrameError("garbage", detail="unterminated line")
+                    )
+                    buf.clear()
+                else:
+                    buf += view
+                return view[len(view) :]
+            need = match.end()
+        buf += view[:need]
+        self._parse_buffer(frames, errors)
+        return view[need:]
+
+    def _parse_buffer(
+        self, frames: list[Frame], errors: list[FrameError]
+    ) -> None:
+        """Parse the carried buffer, keeping only what stays partial."""
+        with memoryview(self._buf) as view:
+            off = _parse(view, frames, errors)
+        del self._buf[:off]
 
     def eof(self) -> list[FrameError]:
         """Flush at end of stream; leftover bytes are a truncated frame."""
@@ -309,3 +360,78 @@ class FrameDecoder:
         detail = f"{len(self._buf)} bytes after last complete frame"
         self._buf.clear()
         return [FrameError("truncated", detail=detail)]
+
+
+def _parse(
+    view: memoryview, frames: list[Frame], errors: list[FrameError]
+) -> int:
+    """Decode every complete frame in ``view``; return the offset of the
+    first byte not consumed (the start of a trailing partial frame)."""
+    end = len(view)
+    off = 0
+    while off < end:
+        first = view[off]
+        if first == MAGIC[0]:
+            if end - off < _PREFIX:
+                break  # incomplete prefix
+            if view[off : off + len(MAGIC)] != MAGIC:
+                off = _resync(view, off, errors)
+                continue
+            (body_len,) = _BODY_LEN.unpack_from(view, off + len(MAGIC))
+            if body_len > MAX_FRAME_BYTES:
+                errors.append(
+                    FrameError(
+                        "garbage",
+                        detail=f"frame length {body_len} exceeds cap",
+                    )
+                )
+                off += len(MAGIC)  # skip the magic, resync after
+                continue
+            stop = off + _PREFIX + body_len
+            if stop > end:
+                break  # incomplete frame
+            result = _decode_binary(view, off, stop)
+            off = stop
+        elif first == 0x7B:  # "{"
+            match = _NEWLINE.search(view, off)
+            if match is None:
+                if end - off > MAX_FRAME_BYTES:
+                    errors.append(
+                        FrameError("garbage", detail="unterminated line")
+                    )
+                    off = end
+                break
+            result = _decode_line(bytes(view[off : match.start()]))
+            off = match.end()
+        else:
+            off = _resync(view, off, errors)
+            continue
+        if isinstance(result, Frame):
+            frames.append(result)
+        else:
+            errors.append(result)
+    return off
+
+
+def _resync(view: memoryview, off: int, errors: list[FrameError]) -> int:
+    """Skip garbage at ``off`` up to the next plausible frame start.
+
+    With no frame start in sight, a trailing partial magic is kept: the
+    rest of it may arrive with the next chunk, and skipping it would
+    lose the frame it starts.
+    """
+    match = _RESYNC.search(view, off + 1)
+    if match is None:
+        target = len(view)
+        for k in range(len(MAGIC) - 1, 0, -1):
+            if target - k > off and view[target - k :] == MAGIC[:k]:
+                target -= k
+                break
+    elif view[match.start()] == 0x0A:  # resume after the line end
+        target = match.end()
+    else:
+        target = match.start()
+    errors.append(
+        FrameError("garbage", detail=f"skipped {target - off} bytes")
+    )
+    return target

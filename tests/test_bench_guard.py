@@ -176,6 +176,23 @@ class TestServiceGuard:
                 f"BENCH_service.json is missing {key}"
             )
 
+    def test_wire_decode_throughput_floor(self):
+        """Floor for the zero-copy wire decode: one 1000-node tick of
+        binary frames decoded out of a reused receive buffer
+        (``benchmarks/test_net_serve.py::test_decode_throughput``).
+        Recorded at a 1146.5 MB/s median of five runs (1080-1589);
+        decode is bound by the frames' CRC32, which runs at about
+        2.2 GB/s on the same host."""
+        summary = _load_summary(SERVICE_SUMMARY_JSON)
+        assert "net_decode_mb_s" in summary, (
+            "BENCH_service.json is missing net_decode_mb_s "
+            "(run pytest benchmarks/test_net_serve.py -m slow)"
+        )
+        assert summary["net_decode_mb_s"] >= 800, (
+            f"wire decode ran at {summary['net_decode_mb_s']} MB/s "
+            "(floor: 800 MB/s)"
+        )
+
     def test_wal_overhead_within_budget(self):
         """Acceptance floors for serving with the write-ahead frame
         journal (fsync policy ``tick``):

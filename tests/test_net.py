@@ -15,6 +15,8 @@ import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.service.api import (
     ServiceConfig,
@@ -22,6 +24,7 @@ from repro.service.api import (
     build_setup,
     replay,
 )
+from repro.service.guard import GuardedDetector
 from repro.service.net import (
     BackpressureConfig,
     FleetServer,
@@ -32,9 +35,9 @@ from repro.service.net import (
 )
 from repro.service.protocol import (
     Frame,
+    FrameError,
     encode_binary,
     encode_eof,
-    encode_json,
 )
 
 CFG = ServiceConfig.smoke()
@@ -109,6 +112,123 @@ class TestBackpressureQueue:
             BackpressureConfig(policy="random-drop")
         with pytest.raises(ValueError, match="queue_max"):
             BackpressureConfig(queue_max=0)
+
+
+class _RecordingGuard(GuardedDetector):
+    """Fleet paths only; records each processed burst instead of
+    running a detector (the barrier logic under test never looks
+    inside values)."""
+
+    def __init__(self, paths):
+        self._paths = list(paths)
+        self.bursts = []
+
+    @property
+    def paths(self):
+        return self._paths
+
+    def process_block(self, burst, tick):
+        self.bursts.append((tick, sorted(burst)))
+        return []
+
+
+class _FullScanServer(FleetServer):
+    """The pump's full-scan barrier: every wake sweeps every queue."""
+
+    def _drop_stale(self):
+        for queue in self._queues.values():
+            entries = queue.entries
+            while entries and entries[0][0] < self._cursor:
+                entries.popleft()
+                self.stats.late_dropped += 1
+
+    def _barrier_complete(self):
+        self._drop_stale()
+        cursor = self._cursor
+        return all(
+            q.entries and q.entries[0][0] == cursor
+            for q in self._queues.values()
+        )
+
+    def _any_queued(self):
+        return bool(self._pending) or any(
+            q.entries for q in self._queues.values()
+        )
+
+
+_PATHS = [f"r0/n{i}" for i in range(3)]
+_steps = st.one_of(
+    st.tuples(
+        st.just("frame"),
+        st.integers(0, len(_PATHS) - 1),
+        st.one_of(st.just(0), st.integers(-2, 5)),
+    ),
+    st.tuples(st.just("fleet"), st.integers(0, 2)),
+    st.tuples(st.just("stray"), st.integers(0, 2), st.integers(0, 3)),
+    st.tuples(st.just("poison"), st.integers(0, len(_PATHS) - 1)),
+    st.tuples(st.just("tick")),
+    st.tuples(st.just("partial")),
+    st.tuples(st.just("jump"), st.integers(1, 4)),
+)
+
+
+class TestIncrementalBarrier:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        policy=st.sampled_from(["drop-oldest", "coalesce"]),
+        queue_max=st.integers(1, 4),
+        steps=st.lists(_steps, max_size=60),
+    )
+    def test_counts_match_full_scan_after_every_step(
+        self, policy, queue_max, steps
+    ):
+        """Property: under random pushes (late, duplicate, out of
+        order, evicting), poison, strays, ticks, partial ticks and
+        cursor jumps, the incrementally kept barrier answer, queued
+        flag, late-drop count and queue contents equal a full scan's
+        after every step."""
+        bp = BackpressureConfig(queue_max=queue_max, policy=policy)
+        fast = FleetServer(_RecordingGuard(_PATHS), backpressure=bp)
+        full = _FullScanServer(_RecordingGuard(_PATHS), backpressure=bp)
+        values = np.zeros((2, 3))
+        for step in steps:
+            for server in (fast, full):
+                kind = step[0]
+                if kind == "frame":
+                    tick = server._cursor + step[2]
+                    server._route_frame(Frame(_PATHS[step[1]], tick, values))
+                elif kind == "fleet":  # one tick from every node
+                    tick = server._cursor + step[1]
+                    for path in _PATHS:
+                        server._route_frame(Frame(path, tick, values))
+                elif kind == "stray":
+                    server._route_frame(
+                        Frame(f"ghost/{step[1]}", step[2], values)
+                    )
+                elif kind == "poison":
+                    server._route_error(
+                        FrameError("bad-frame", node=_PATHS[step[1]])
+                    )
+                elif kind == "tick":
+                    if server._barrier_complete():
+                        server._process_tick()
+                elif kind == "partial":
+                    if server._any_queued():
+                        server._advance_to_next_queued()
+                        server._process_tick()
+                else:  # a watermark jump, as WAL recovery makes
+                    server._cursor += step[1]
+            assert fast._barrier_complete() == full._barrier_complete()
+            assert fast._any_queued() == full._any_queued()
+            assert fast._cursor == full._cursor
+            assert fast.stats.late_dropped == full.stats.late_dropped
+            assert fast._queued == sum(len(q) for q in fast._queues.values())
+            assert {
+                p: [e[0] for e in q.entries] for p, q in fast._queues.items()
+            } == {
+                p: [e[0] for e in q.entries] for p, q in full._queues.items()
+            }
+        assert fast.guarded.bursts == full.guarded.bursts
 
 
 class TestLoopbackIdentity:

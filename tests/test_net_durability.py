@@ -11,9 +11,11 @@ connect-backoff that closes the port-file race.
 
 import shutil
 import socket
+import struct
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.service.api import (
@@ -29,7 +31,8 @@ from repro.service.net import (
     ServerCheckpoint,
     loadgen,
 )
-from repro.service.protocol import encode_binary, encode_eof
+from repro.service.protocol import MAGIC, encode_binary, encode_eof
+from repro.service.wal import REC_FRAME, recover_wal
 
 CFG = ServiceConfig.smoke()
 
@@ -216,6 +219,73 @@ class TestCrashRestartByteIdentity:
         )
         with pytest.raises(CheckpointError, match="server"):
             server._recover()
+
+
+def _encode_v1(node, tick, values):
+    """A version 1 binary frame (no checksum field)."""
+    block = np.ascontiguousarray(values, dtype="<f8")
+    path = node.encode("utf-8")
+    body = (
+        struct.pack("<BHQHI", 1, len(path), tick, *block.shape)
+        + path
+        + block.tobytes()
+    )
+    return MAGIC + struct.pack("<I", len(body)) + body
+
+
+class TestJournalsReceivedBytes:
+    @pytest.mark.parametrize("encode", [_encode_v1, encode_binary])
+    def test_wal_from_v1_and_v2_senders_recovers_byte_identical(
+        self, setup, reference, tmp_path, encode
+    ):
+        """The journal holds each binary frame exactly as received —
+        version 1 frames stay version 1 — and a fresh server recovering
+        from it re-emits the uninterrupted alert stream to the byte."""
+        _, ref_text = reference
+        paths = sorted(setup.eval_data)
+        horizon = max(m.shape[1] for m in setup.eval_data.values())
+        sent = []
+        for ti in range((horizon + CFG.chunk - 1) // CFG.chunk):
+            lo = ti * CFG.chunk
+            for p in paths:
+                m = setup.eval_data[p]
+                if lo < m.shape[1]:
+                    sent.append(encode(p, ti, m[:, lo : lo + CFG.chunk]))
+        sink_a = ListAlertSink()
+        server_a = FleetServer(
+            build_detector(CFG, setup),
+            sinks=(sink_a,),
+            exit_on_idle=True,
+            wal=tmp_path / "wal",
+        )
+        thread_a = server_a.start_background()
+        assert server_a.ready.wait(10)
+        with socket.create_connection(("127.0.0.1", server_a.port)) as sock:
+            sock.sendall(b"".join(sent) + encode_eof())
+        thread_a.join(60)
+        assert not thread_a.is_alive()
+        assert sink_a.text() == ref_text
+        journaled = [
+            rec.payload
+            for rec in recover_wal(tmp_path / "wal").records
+            if rec.rtype == REC_FRAME
+        ]
+        assert journaled == sent
+
+        sink_b = ListAlertSink()
+        server_b = FleetServer(
+            build_detector(CFG, setup),
+            sinks=(sink_b,),
+            exit_on_idle=True,
+            wal=tmp_path / "wal",
+        )
+        thread_b = server_b.start_background()
+        assert server_b.ready.wait(30)
+        with socket.create_connection(("127.0.0.1", server_b.port)) as sock:
+            sock.sendall(encode_eof())
+        thread_b.join(30)
+        assert not thread_b.is_alive()
+        assert sink_b.text() == ref_text
 
 
 class TestHealthSurface:
