@@ -33,16 +33,16 @@ Design decisions:
   free.
 * **Buffered-protocol ingress.**  Each connection is an
   :class:`asyncio.BufferedProtocol`: the transport reads with
-  ``recv_into`` into one per-connection receive buffer of
-  :data:`RECV_BUFFER_BYTES`, and the bytes read go to
-  :meth:`FrameDecoder.feed` as a ``memoryview`` slice of it, decoded
-  and routed in the same callback.  There is no stream reader copying
-  each read into a fresh ``bytes``; each frame is copied once, by the
-  decoder, into bytes the frame owns, so the buffer is reused by the
-  very next read.  The buffer is an anonymous mapping: only the pages
-  reads actually fill are committed, so a fleet of one connection per
-  node, each sending one small frame at a time, does not cost a
-  megabyte per connection.
+  ``recv_into`` into a receive buffer of :data:`RECV_BUFFER_BYTES`,
+  and the bytes read go to :meth:`FrameDecoder.feed` as a
+  ``memoryview`` slice of it, decoded and routed in the same
+  callback.  There is no stream reader copying each read into a fresh
+  ``bytes``; each frame is copied once, by the decoder, into bytes the
+  frame owns, so the buffer is free again as soon as ``feed``
+  returns.  That makes one buffer enough for every connection: the
+  selector loop runs ``get_buffer`` → ``recv_into`` →
+  ``buffer_updated`` for one connection at a time, so the server owns
+  a single buffer however many connections are open.
 * **O(1) pump wakes.**  The pump wakes once per read that completed a
   frame.  Whether the barrier is complete is a counter of queues whose
   head holds the cursor tick, kept up to date as frames are queued;
@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import mmap
 import threading
 import time
 from collections import deque
@@ -101,8 +100,9 @@ WAL_LAG_DEGRADED = 4096
 #: the ``barrier-timeout-streak`` degraded reason.
 TIMEOUT_STREAK_DEGRADED = 3
 
-#: Per-connection receive buffer: one read takes up to this many bytes,
-#: about 33 binary frames of a 128-sensor, 30-sample burst.
+#: The receive buffer every connection reads into: one read takes up
+#: to this many bytes, about 33 binary frames of a 128-sensor,
+#: 30-sample burst.
 RECV_BUFFER_BYTES = 1 << 20
 
 
@@ -317,14 +317,15 @@ class ServerCheckpoint:
 
 
 class _Ingress(asyncio.BufferedProtocol):
-    """One ingestion connection: reads land in a reused receive buffer
-    and are decoded straight out of it (see the module docstring)."""
+    """One ingestion connection: reads land in the server's receive
+    buffer and are decoded straight out of it (see the module
+    docstring)."""
 
     def __init__(self, server: "FleetServer"):
         self.server = server
         self.decoder = FrameDecoder()
         self.transport = None
-        self._view = memoryview(mmap.mmap(-1, RECV_BUFFER_BYTES))
+        self._view = server._recv_view
 
     def connection_made(self, transport) -> None:
         self.transport = transport
@@ -447,8 +448,6 @@ class FleetServer:
         #: nodes during a barrier stall cannot grow server memory.
         self._pending: dict[str, object] = {}
         self._cursor = 0
-        #: Queued entries over all node queues.
-        self._queued = 0
         #: Queues whose head holds the cursor tick; exact whenever
         #: ``_swept`` equals the cursor (see :meth:`_drop_stale`).
         self._ready = 0
@@ -487,6 +486,8 @@ class FleetServer:
         self._ack_subs: set = set()
         #: Open ingestion transports (closed when the server stops).
         self._conns: set = set()
+        #: The receive buffer shared by every connection.
+        self._recv_view = memoryview(bytearray(RECV_BUFFER_BYTES))
         #: Bound ports, valid once :attr:`ready` is set.
         self.port: int | None = None
         self.ops_bound_port: int | None = None
@@ -535,13 +536,11 @@ class FleetServer:
         self._push(queue, frame.tick, frame.values, samples)
 
     def _push(self, queue: NodeQueue, tick: int, values, samples: int):
-        """``queue.push`` keeping the queued and ready counts current."""
+        """``queue.push`` keeping the ready count current."""
         entries = queue.entries
-        before = len(entries)
         cursor = self._cursor
-        was_ready = before > 0 and entries[0][0] == cursor
+        was_ready = bool(entries) and entries[0][0] == cursor
         queue.push(tick, values, samples)
-        self._queued += len(entries) - before
         self._ready += (entries[0][0] == cursor) - was_ready
 
     def _route_error(self, error: FrameError) -> None:
@@ -625,7 +624,6 @@ class FleetServer:
             if entries and entries[0][0] == cursor:
                 ready += 1
         self.stats.late_dropped += dropped
-        self._queued -= dropped
         self._ready = ready
         self._swept = cursor
 
@@ -641,7 +639,9 @@ class FleetServer:
         return self._ready == len(self._queues)
 
     def _any_queued(self) -> bool:
-        return bool(self._pending) or self._queued > 0
+        return bool(self._pending) or any(
+            q.entries for q in self._queues.values()
+        )
 
     def _process_tick(self) -> None:
         cursor = self._cursor
@@ -653,7 +653,6 @@ class FleetServer:
                 _, values, samples = entries.popleft()
                 burst[path] = values
                 tick_samples += samples
-        self._queued -= len(burst)
         for node, values in self._pending.items():
             burst.setdefault(node, values)
         self._pending.clear()

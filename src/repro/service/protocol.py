@@ -307,40 +307,34 @@ class FrameDecoder:
 
         The carried bytes always start a frame (resync never stops on
         anything else), so usually exactly the bytes that frame still
-        lacks are appended.  When the carried bytes turn out to be
-        garbage (a bad magic) or an oversized length prefix, the whole
-        chunk is appended and the joined buffer parsed — the rare
-        path, where copying does not matter.
+        lacks are appended.  When :func:`_frame_end` rejects the carried
+        frame start (a bad magic, a length over the cap) or the carried
+        bytes grow past the cap, the whole chunk is appended and the
+        joined buffer parsed — the rare path, where copying does not
+        matter.
         """
         buf = self._buf
         if buf[0] == MAGIC[0]:
-            if len(buf) < _PREFIX:
-                take = _PREFIX - len(buf)
+            # A binary frame's length prefix tells where it ends.
+            take = _PREFIX - len(buf)
+            if take > 0:
                 buf += view[:take]
                 view = view[take:]
-                if len(buf) < _PREFIX:
-                    return view
-            (body_len,) = _BODY_LEN.unpack_from(buf, len(MAGIC))
-            if buf[: len(MAGIC)] != MAGIC or body_len > MAX_FRAME_BYTES:
-                buf += view
-                self._parse_buffer(frames, errors)
-                return view[len(view) :]
-            need = _PREFIX + body_len - len(buf)
-            if need > len(view):
-                buf += view
-                return view[len(view) :]
-        else:  # a JSON line waiting for its newline
+            end = _frame_end(buf, 0)
+        else:
+            # A line: the carried bytes hold no line end (or they would
+            # have been parsed), so the chunk's first one ends it.
             match = _NEWLINE.search(view)
-            if match is None:
-                if len(buf) + len(view) > MAX_FRAME_BYTES:
-                    errors.append(
-                        FrameError("garbage", detail="unterminated line")
-                    )
-                    buf.clear()
-                else:
-                    buf += view
-                return view[len(view) :]
-            need = match.end()
+            end = len(buf) + match.end() if match else None
+        if end is None or end == 0 or end - len(buf) > len(view):
+            buf += view
+            if end == 0 or len(buf) > MAX_FRAME_BYTES:
+                # The framing rules reject the carried frame start, or
+                # the carried frame outgrew the cap: let _parse apply
+                # them to the joined bytes.
+                self._parse_buffer(frames, errors)
+            return view[len(view) :]
+        need = end - len(buf)
         buf += view[:need]
         self._parse_buffer(frames, errors)
         return view[need:]
@@ -362,6 +356,53 @@ class FrameDecoder:
         return [FrameError("truncated", detail=detail)]
 
 
+def _frame_end(view: memoryview, off: int) -> int | None:
+    """Where the frame that starts at ``view[off]`` ends: the framing
+    rules in one place.
+
+    Returns the offset one past the frame's last byte — for a binary
+    frame as soon as its length prefix is in, even when that lies
+    beyond the view — or ``None`` while the view does not show it yet
+    (a short length prefix, a line with no line end).  Returns ``off``
+    itself when no frame can start there: a bad magic, a length prefix
+    over :data:`MAX_FRAME_BYTES`, an unterminated line already longer
+    than that, or any other first byte (:func:`_reject` says why).
+    """
+    first = view[off]
+    if first == MAGIC[0]:
+        if len(view) - off < _PREFIX:
+            return None
+        if view[off : off + len(MAGIC)] != MAGIC:
+            return off
+        (body_len,) = _BODY_LEN.unpack_from(view, off + len(MAGIC))
+        if body_len > MAX_FRAME_BYTES:
+            return off
+        return off + _PREFIX + body_len
+    if first == 0x7B:  # "{"
+        match = _NEWLINE.search(view, off)
+        if match is not None:
+            return match.end()
+        return off if len(view) - off > MAX_FRAME_BYTES else None
+    return off
+
+
+def _reject(view: memoryview, off: int, errors: list[FrameError]) -> int:
+    """Report why :func:`_frame_end` found no frame at ``view[off]``;
+    return the offset where parsing resumes."""
+    if view[off] == 0x7B:
+        errors.append(FrameError("garbage", detail="unterminated line"))
+        return len(view)
+    if view[off : off + len(MAGIC)] == MAGIC:
+        (body_len,) = _BODY_LEN.unpack_from(view, off + len(MAGIC))
+        errors.append(
+            FrameError(
+                "garbage", detail=f"frame length {body_len} exceeds cap"
+            )
+        )
+        return off + len(MAGIC)  # skip the magic, resync after
+    return _resync(view, off, errors)
+
+
 def _parse(
     view: memoryview, frames: list[Frame], errors: list[FrameError]
 ) -> int:
@@ -370,42 +411,17 @@ def _parse(
     end = len(view)
     off = 0
     while off < end:
-        first = view[off]
-        if first == MAGIC[0]:
-            if end - off < _PREFIX:
-                break  # incomplete prefix
-            if view[off : off + len(MAGIC)] != MAGIC:
-                off = _resync(view, off, errors)
-                continue
-            (body_len,) = _BODY_LEN.unpack_from(view, off + len(MAGIC))
-            if body_len > MAX_FRAME_BYTES:
-                errors.append(
-                    FrameError(
-                        "garbage",
-                        detail=f"frame length {body_len} exceeds cap",
-                    )
-                )
-                off += len(MAGIC)  # skip the magic, resync after
-                continue
-            stop = off + _PREFIX + body_len
-            if stop > end:
-                break  # incomplete frame
-            result = _decode_binary(view, off, stop)
-            off = stop
-        elif first == 0x7B:  # "{"
-            match = _NEWLINE.search(view, off)
-            if match is None:
-                if end - off > MAX_FRAME_BYTES:
-                    errors.append(
-                        FrameError("garbage", detail="unterminated line")
-                    )
-                    off = end
-                break
-            result = _decode_line(bytes(view[off : match.start()]))
-            off = match.end()
-        else:
-            off = _resync(view, off, errors)
+        stop = _frame_end(view, off)
+        if stop is None or stop > end:
+            break  # a trailing partial frame
+        if stop == off:
+            off = _reject(view, off, errors)
             continue
+        if view[off] == MAGIC[0]:
+            result = _decode_binary(view, off, stop)
+        else:
+            result = _decode_line(bytes(view[off : stop - 1]))
+        off = stop
         if isinstance(result, Frame):
             frames.append(result)
         else:
